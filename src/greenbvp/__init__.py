@@ -6,8 +6,6 @@ from .kernel import (
     GreenKernel,
     ResonanceReport,
     check_resonance,
-    green_dt,
-    green_eval,
     resonance_curve,
 )
 from .spectrum import ConeSpec, SignClass, bound_constants, classify_sign, delta, max_kernel_bound
@@ -34,8 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ProblemParams", "Regime", "classify_gamma",
-    "GreenKernel", "ResonanceReport", "check_resonance", "green_eval", "green_dt",
-    "resonance_curve",
+    "GreenKernel", "ResonanceReport", "check_resonance", "resonance_curve",
     "delta", "SignClass", "classify_sign", "ConeSpec", "bound_constants",
     "max_kernel_bound",
     "SolutionProfile",

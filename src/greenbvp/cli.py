@@ -14,15 +14,15 @@ max_iter, min_norm, grid_n, init_amplitudes, svg.
 
 Exit codes: 0 success, 1 usage error, 2 resonance or domain refusal,
 3 solver search failure.  Numeric output is formatted with 17 significant
-digits so identical invocations produce byte-identical files.  The
-environment variable GREENBVP_THREADS caps row-parallel kernel evaluation.
+digits so identical invocations produce byte-identical files.  Tables
+from `green` are written row by row as they are formatted.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -90,24 +90,38 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+def _stream(path: str | None, chunks):
+    """Write text chunks one at a time to path, or to stdout."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
+        fh.writelines(chunks)
+
+
 def _write(path: str | None, text: str):
-    if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("GREENBVP_THREADS", "1")))
-    except ValueError:
-        return 1
+    """Write text to path, or to stdout ending in a newline."""
+    _stream(path, [text if path is not None or text.endswith("\n") else text + "\n"])
 
 
 # -- green --------------------------------------------------------------------
+
+def _csv_rows(t, s, rows):
+    """CSV text of the table, one chunk per row; %.17g is the text of fmt()."""
+    yield "t,s,G\n"
+    template = "".join(f"\0,{fmt(sv)},%.17g\n" for sv in s)
+    for tv, row in zip(t, rows):
+        yield template.replace("\0", fmt(tv)) % tuple(row.tolist())
+
+
+def _json_rows(params, t, s, rows):
+    """The to_json() text of the table, one chunk per row of G."""
+    head = to_json({"gamma": params.gamma, "lambda": params.lam, "t": list(t), "s": list(s)})
+    template = "[\n" + ",\n".join(["      %.17g"] * len(s)) + "\n    ]"
+    sep = head[:-len("\n}")] + ',\n  "G": [\n    '
+    for row in rows:
+        vals = row.tolist()
+        yield sep + (template % tuple(vals) if np.isfinite(row).all() else to_json(vals, 2))
+        sep = ",\n    "
+    yield "\n  ]\n}\n"
+
 
 def cmd_green(args) -> int:
     params = ProblemParams(args.gamma, args.lam)
@@ -116,33 +130,16 @@ def cmd_green(args) -> int:
     kernel = GreenKernel(params)
     t = np.linspace(0.0, 1.0, args.n)
     s = np.linspace(0.0, 1.0, args.n)
-    z = np.empty((args.n, args.n))
-    workers = _threads()
-    if workers == 1:
-        for i, tv in enumerate(t):
-            z[i] = kernel.eval(tv, s)
-    else:
-        def fill(i):
-            z[i] = kernel.eval(t[i], s)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(args.n)))
+    # rows are evaluated as they are written, so only one is held at a time
+    rows = (kernel.eval(tv, s) for tv in t)
 
     if args.format == "csv":
-        lines = ["t,s,G"]
-        for i, tv in enumerate(t):
-            for j, sv in enumerate(s):
-                lines.append(f"{fmt(tv)},{fmt(sv)},{fmt(z[i, j])}")
-        _write(args.output, "\n".join(lines) + "\n")
+        _stream(args.output, _csv_rows(t, s, rows))
     elif args.format == "json":
-        payload = {
-            "gamma": params.gamma, "lambda": params.lam,
-            "t": list(t), "s": list(s),
-            "G": [list(row) for row in z],
-        }
-        _write(args.output, to_json(payload) + "\n")
+        _stream(args.output, _json_rows(params, t, s, rows))
     else:
         title = f"G(t,s) for gamma={params.gamma:g}, lambda={params.lam:g}"
-        _write(args.output, svgout.heatmap_svg(t, s, z, title))
+        _write(args.output, svgout.heatmap_svg(t, s, np.array(list(rows)), title))
     return 0
 
 
@@ -219,26 +216,35 @@ def read_config(path: str) -> dict:
     return cfg
 
 
+def _number(key: str, raw, kind=float):
+    """The config value raw of key as kind; a malformed value is an InputError."""
+    try:
+        return kind(raw)
+    except ValueError:
+        raise InputError(f"config key {key!r}: expected {kind.__name__}, got {raw!r}") from None
+
+
 def _problem_from_config(cfg: dict) -> tuple[NonlinearProblem, SolveConfig, bool]:
     if "gamma" not in cfg or "lambda" not in cfg:
         raise InputError("config must set gamma and lambda")
     if "f" not in cfg:
         raise InputError("config must set f (an expression in t and u)")
-    params = ProblemParams(float(cfg["gamma"]), float(cfg["lambda"]))
+    params = ProblemParams(_number("gamma", cfg["gamma"]), _number("lambda", cfg["lambda"]))
     f = parse_expr(cfg["f"])
     side = cfg.get("side", "right")
     interval = None
     if "a" in cfg or "b" in cfg:
-        interval = (float(cfg.get("a", 0.5)), float(cfg.get("b", 1.0)))
+        interval = (_number("a", cfg.get("a", 0.5)), _number("b", cfg.get("b", 1.0)))
     problem = NonlinearProblem(params, f, cone_interval=interval, side=side)
     solve_cfg = SolveConfig(
-        tol=float(cfg.get("tol", 1e-8)),
-        max_iter=int(cfg.get("max_iter", 500)),
-        min_norm=float(cfg.get("min_norm", 1e-4)),
-        grid_n=int(cfg.get("grid_n", 201)),
+        tol=_number("tol", cfg.get("tol", 1e-8)),
+        max_iter=_number("max_iter", cfg.get("max_iter", 500), int),
+        min_norm=_number("min_norm", cfg.get("min_norm", 1e-4)),
+        grid_n=_number("grid_n", cfg.get("grid_n", 201), int),
     )
     if "init_amplitudes" in cfg:
-        amps = tuple(float(x) for x in cfg["init_amplitudes"].split(",") if x.strip())
+        amps = tuple(_number("init_amplitudes", x)
+                     for x in cfg["init_amplitudes"].split(",") if x.strip())
         if not amps:
             raise InputError("init_amplitudes must list at least one value")
         solve_cfg.init_amplitudes = amps
@@ -329,7 +335,7 @@ def cmd_verify(args) -> int:
     cfg = read_config(args.config)
     if "gamma" not in cfg or "lambda" not in cfg:
         raise InputError("config must set gamma and lambda")
-    params = ProblemParams(float(cfg["gamma"]), float(cfg["lambda"]))
+    params = ProblemParams(_number("gamma", cfg["gamma"]), _number("lambda", cfg["lambda"]))
     profile = _read_solution_csv(args.solution)
 
     if "sigma" in cfg:

@@ -49,8 +49,6 @@ __all__ = [
     "resonance_curve",
     "check_resonance",
     "GreenKernel",
-    "green_eval",
-    "green_dt",
     "classify_gamma",
     "ProblemParams",
     "Regime",
@@ -309,13 +307,3 @@ class GreenKernel:
         dgv = np.where(upper, -_pair_sc(m, s, 1.0 - t), _pair_sc(m, 1.0 - s, t))
         b = 1.0 - _sinh_ratio(m, s) - _sinh_ratio(m, 1.0 - s)
         return dgv + lam * m * _cosh_ratio(m, t) * b / self._E
-
-
-def green_eval(kernel: GreenKernel, t, s):
-    """Module-level alias for GreenKernel.eval."""
-    return kernel.eval(t, s)
-
-
-def green_dt(kernel: GreenKernel, t, s, side: str = "right"):
-    """Module-level alias for GreenKernel.dt."""
-    return kernel.dt(t, s, side)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (ClassificationError, DegenerateConeError, ExprDomainError,
                      InputError, QuadratureError, ResonanceError, SearchFailureError)
@@ -157,6 +156,7 @@ class _RowCache:
         self.rows = np.concatenate(rows)
 
     def apply(self, nl: _Nonlinearity, u_vec: np.ndarray) -> np.ndarray:
+        from scipy.interpolate import CubicSpline
         spline = CubicSpline(self.grid, u_vec)
         u_at = np.maximum(spline(self.nodes), 0.0)
         vals = np.asarray(nl.eval(self.nodes, u_at), dtype=float)
@@ -389,6 +389,7 @@ def _anderson_iterate(T, u0, tol, max_iter, depth, min_norm):
 
 def _integral_newton(cache: _RowCache, nl: _Nonlinearity, u0, tol, max_iter=15):
     """Newton on the collocated integral equation u = T u (hat-weight Jacobian)."""
+    from scipy.interpolate import CubicSpline
     grid = cache.grid
     n = len(grid)
     u = np.maximum(np.asarray(u0, dtype=float), 0.0)
@@ -459,8 +460,11 @@ def solve_positive(problem: NonlinearProblem, config: SolveConfig | None = None)
     Raises:
         SearchFailureError: no start produced an acceptable fixed point.
         ResonanceError: the parameters admit no Green's function.
+        InputError: grid_n is below the 11 points that verification needs.
     """
     cfg = config or SolveConfig()
+    if cfg.grid_n < 11:
+        raise InputError("verification grid too coarse; need at least 11 points")
     if problem.side == "left":
         mirrored = solve_positive(reflect_problem(problem), cfg)
         prof = mirrored.profile.reflected()

@@ -6,7 +6,6 @@ the type without reaching Green's function code.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InputError
 
@@ -40,6 +39,7 @@ class SolutionProfile:
 
     def __call__(self, x):
         if self._spline is None:
+            from scipy.interpolate import CubicSpline
             self._spline = CubicSpline(self.grid, self.values)
         out = self._spline(np.asarray(x, dtype=float))
         if np.isscalar(x):

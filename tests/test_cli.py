@@ -2,10 +2,17 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
+import greenbvp
+from greenbvp import cli
 from greenbvp.cli import fmt, main, to_json
+from greenbvp.kernel import GreenKernel
+from greenbvp.params import ProblemParams
 
 
 def run(capsys, *argv):
@@ -56,6 +63,52 @@ def test_green_determinism_and_threads(capsys, tmp_path):
     finally:
         del os.environ["GREENBVP_THREADS"]
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("gamma", ["-1e5", "-4", "1e-12", "0", "3", repr(math.pi ** 2)])
+def test_green_bytes_match_per_float_format(capsys, tmp_path, gamma):
+    """The template writer gives the bytes of the per-row, per-float loop."""
+    n = 23
+    kernel = GreenKernel(ProblemParams(float(gamma), 1.0))
+    t = np.linspace(0.0, 1.0, n)
+    s = t.copy()
+    z = np.array([kernel.eval(tv, s) for tv in t])
+    lines = ["t,s,G"] + [f"{fmt(tv)},{fmt(sv)},{fmt(z[i, j])}"
+                         for i, tv in enumerate(t) for j, sv in enumerate(s)]
+    want_csv = "\n".join(lines) + "\n"
+    want_json = to_json({"gamma": float(gamma), "lambda": 1.0, "t": list(t), "s": list(s),
+                         "G": [list(row) for row in z]}) + "\n"
+    if gamma == "-1e5":
+        assert "e-" in want_csv
+    for form, want in (("csv", want_csv), ("json", want_json)):
+        path = tmp_path / f"g.{form}"
+        argv = ["green", f"--gamma={gamma}", "--lambda", "1", "--n", str(n), "--format", form]
+        code, _, _ = run(capsys, *argv, "-o", str(path))
+        assert code == 0
+        assert path.read_text() == want
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == want
+
+
+def test_green_json_non_finite_rows_fall_back_to_to_json():
+    t = np.linspace(0.0, 1.0, 4)
+    z = np.outer(t, t)
+    z[1, 2] = np.nan
+    z[3, 0] = -np.inf
+    params = ProblemParams(0.0, 1.0)
+    want = to_json({"gamma": 0.0, "lambda": 1.0, "t": list(t), "s": list(t),
+                    "G": [list(row) for row in z]}) + "\n"
+    assert "".join(cli._json_rows(params, t, t, iter(z))) == want
+
+
+def test_import_cli_leaves_out_scipy_interpolate():
+    src = os.path.dirname(os.path.dirname(greenbvp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, greenbvp.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_delta_rows(capsys):
@@ -147,6 +200,34 @@ def test_config_validation(capsys, tmp_path):
     bad.write_text('gamma = 0\nlambda = 1\nf = "log("\n')
     code, _, _ = run(capsys, "solve", str(bad), "--output-dir", str(tmp_path))
     assert code == 1
+
+
+def test_config_malformed_number(capsys, tmp_path):
+    cfg = tmp_path / "m.cfg"
+    for line, key in (("gamma = abc", "gamma"), ("grid_n = 1.5", "grid_n"),
+                      ("init_amplitudes = 1, x", "init_amplitudes")):
+        cfg.write_text(f'lambda = 1\nf = "sqrt(u)"\ngamma = 0\n{line}\n')
+        code, _, err = run(capsys, "solve", str(cfg), "--output-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert f"config key '{key}'" in err
+    sol = tmp_path / "s.csv"
+    sol.write_text("t,u\n" + "".join(f"{x},{x * (1 - x)}\n" for x in np.linspace(0, 1, 21)))
+    cfg.write_text('gamma = 0\nlambda = one\nsigma = "2"\n')
+    code, _, err = run(capsys, "verify", str(sol), str(cfg))
+    assert code == 1
+    assert "config key 'lambda'" in err
+
+
+def test_small_grid_refused_before_search(capsys, tmp_path, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("greenbvp.nonlinear._RowCache", no_search)
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text('gamma = 0\nlambda = 1\nf = "sqrt(u)"\ngrid_n = 5\n')
+    code, _, err = run(capsys, "solve", str(cfg), "--output-dir", str(tmp_path / "o"))
+    assert code == 1
+    assert "need at least 11 points" in err
 
 
 def test_verify_mismatched_grid(capsys, tmp_path):

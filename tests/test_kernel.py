@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from greenbvp.errors import InputError, ResonanceError
-from greenbvp.kernel import (GreenKernel, ResonanceReport, check_resonance,
-                             green_dt, green_eval, resonance_curve)
+from greenbvp.kernel import GreenKernel, ResonanceReport, check_resonance, resonance_curve
 from greenbvp.params import ProblemParams, Regime, classify_gamma
 from greenbvp.quadrature import QuadratureRule, integrate
 
@@ -88,13 +87,13 @@ def test_resonance_curve_matches_textbook_ratios():
 
 def test_green_eval_spec_examples():
     k = GreenKernel(ProblemParams(0.0, 1.0))
-    assert green_eval(k, 0.25, 0.5) == pytest.approx(0.1875, abs=1e-15)
-    assert green_eval(k, 0.75, 0.5) == pytest.approx(0.3125, abs=1e-15)
-    assert green_eval(k, 0.3, 1.0) == 0.0
+    assert k.eval(0.25, 0.5) == pytest.approx(0.1875, abs=1e-15)
+    assert k.eval(0.75, 0.5) == pytest.approx(0.3125, abs=1e-15)
+    assert k.eval(0.3, 1.0) == 0.0
 
     k2 = GreenKernel(ProblemParams(-1.0, 0.0))
     want = math.sinh(0.5) ** 2 / math.sinh(1.0)
-    assert green_eval(k2, 0.5, 0.5) == pytest.approx(want, rel=1e-14)
+    assert k2.eval(0.5, 0.5) == pytest.approx(want, rel=1e-14)
 
 
 def test_matches_literal_formulas():
@@ -124,10 +123,10 @@ def test_resonance_refusal():
 
 def test_green_dt_examples_and_jump():
     k = GreenKernel(ProblemParams(0.0, 0.0))
-    assert green_dt(k, 0.5, 0.5, "left") == pytest.approx(0.5, abs=1e-15)
-    assert green_dt(k, 0.5, 0.5, "right") == pytest.approx(-0.5, abs=1e-15)
+    assert k.dt(0.5, 0.5, "left") == pytest.approx(0.5, abs=1e-15)
+    assert k.dt(0.5, 0.5, "right") == pytest.approx(-0.5, abs=1e-15)
     with pytest.raises(InputError):
-        green_dt(k, 0.5, 0.5, "up")
+        k.dt(0.5, 0.5, "up")
 
     ss = np.linspace(0.1, 0.9, 9)
     for gamma, lam in [(0.0, 1.0), (4.0, 1.3), (-9.0, 2.0), (9.5, 0.05),
