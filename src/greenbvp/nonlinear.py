@@ -268,7 +268,8 @@ class ConeMembership:
     """Whether a profile lies in the positivity cone.
 
     margin is the minimum of u(t) - envelope(t) * ||u|| over the grid; the
-    envelope is (lam/2) t for gamma = 0 and h(t)/C otherwise.
+    envelope is h(t)/C from bound_constants, (lam/2) t for gamma = 0, and 0
+    where the kernel has no cone constants.
     """
 
     member: bool
@@ -285,15 +286,12 @@ def cone_membership(profile: SolutionProfile, params: ProblemParams,
     u = profile.values
     norm = profile.norm_inf
     nonneg = bool(np.min(u) >= -1e-12 * max(1.0, norm))
-    if abs(params.gamma) <= 1e-8:
-        env = 0.5 * params.lam * profile.grid
-    else:
-        if cone is None:
-            try:
-                cone = bound_constants(params)
-            except (ClassificationError, DegenerateConeError):
-                cone = None
-        env = cone.lower_cone_envelope(profile.grid) if cone is not None else np.zeros_like(u)
+    if cone is None:
+        try:
+            cone = bound_constants(params)
+        except (ClassificationError, DegenerateConeError):
+            cone = None
+    env = cone.lower_cone_envelope(profile.grid) if cone is not None else np.zeros_like(u)
     margin = float(np.min(u - env * norm))
     return ConeMembership(member=bool(nonneg and margin >= -tol_cone),
                           margin=margin, nonneg=nonneg)
@@ -476,18 +474,14 @@ def solve_positive(problem: NonlinearProblem, config: SolveConfig | None = None)
     kernel = GreenKernel(params)
     lam = params.lam
 
-    try:
-        delta_val = delta(params.gamma) if params.gamma < PI_SQ else None
-    except Exception:
-        delta_val = None
+    delta_val = delta(params.gamma) if params.gamma < PI_SQ else None
     outside = not (delta_val is not None and 0.0 < lam < delta_val)
 
     sign = None
     cone_spec = None
     try:
         sign = classify_sign(params)
-        if sign.positive and lam > 0.0 and abs(params.gamma) > 1e-8:
-            cone_spec = bound_constants(params)
+        cone_spec = bound_constants(params)
     except (ClassificationError, DegenerateConeError, ResonanceError):
         pass
 

@@ -59,13 +59,6 @@ class QuadratureRule:
                 raise InputError(f"split points must lie in (0,1), got {p}")
         object.__setattr__(self, "split_points", tuple(sorted(set(pts))))
 
-    def with_split(self, point: float) -> "QuadratureRule":
-        """A copy of this rule that also splits at `point` (if interior)."""
-        if not (0.0 < point < 1.0):
-            return self
-        return QuadratureRule(self.panels, self.nodes_per_panel,
-                              self.split_points + (float(point),))
-
     def _panel_edges(self) -> np.ndarray:
         """Panel edges on [0,1], spread over the split intervals by length."""
         bounds = np.array([0.0, *self.split_points, 1.0])

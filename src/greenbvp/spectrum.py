@@ -11,34 +11,39 @@ m/tan(m/2).  The kernel is positive on (0,1)^2 exactly for 0 <= lam <
 Delta(gamma), with the trigonometric case certified only for m <= pi;
 beyond that the classification falls back to a grid scan and says so.
 
-For a positive kernel with lam > 0 the two-sided bound
+For a positive kernel with 0 < lam < Delta and gamma < pi^2 the two-sided
+bound
 
     h(t) * G(1, s) <= G(t, s) <= C * G(1, s)
 
-is produced by bound_constants.  For gamma = 0 the exact closed form
-h(t) = t, C = 2/lam is returned.  Otherwise h(t) = min_s G(t,s)/G(1,s) and
-C = sup G(t,s)/G(1,s) are computed on a grid with golden-section refinement,
-using the analytic continuations of the ratio at s = 0 and s = 1 where the
-denominator vanishes.  Both regimes share one form in terms of the scaled
-homogeneous solution W (sin(mt)/sin m, resp. sinh(mt)/sinh m):
+is produced by bound_constants in closed form.  With q = (Delta - lam)/lam,
+w(x) = sin(mx)/sin m (sinh(mx)/sinh m for gamma < 0) and c = cos (cosh for
+gamma < 0), the ratio G(t,s)/G(1,s) at fixed t rises on (0,t) and falls on
+(t,1): its s-derivative has the sign of c(m/2) > 0.  Hence
 
-    s -> 0+:  W(1-t) * (Delta - lam)/lam + W(t)
-    s -> 1-:  W(t) * Delta/lam
+    h(t) = min(lim_{s->0} ratio, lim_{s->1} ratio)
+         = min(w(1-t) q + w(t), w(t) Delta/lam),
 
-The
-stored envelope interpolates the h samples linearly minus a local curvature
-allowance so that the lower bound also holds between nodes; C is inflated
-by one part in 1e9 for the same reason.
+and C is the maximum over x of the diagonal ratio
+
+    D(x) = G(x,x)/G(1,x) = w(x) + q c(mx/2) c(m(1-x)/2)/c(m/2),
+
+which runs from D(0) = q to D(1) = Delta/lam.  For gamma < 0, D is convex,
+so C = Delta/lam.  For gamma > 0, D = A sin(mx) + B cos(mx) + B with
+A = 1/sin m + B tan(m/2) and B = q/2, whose maximum on [0,1] lies at
+x = atan2(A, B)/m or, past it, at x = 1.  For gamma = 0 the exact forms
+h(t) = t, C = 2/lam are used.  C is inflated by one part in 1e9 against
+rounding.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ClassificationError, DegenerateConeError, DomainError, InputError
-from .kernel import GreenKernel, check_resonance, resonance_curve
+from .kernel import GreenKernel, _sinh_ratio, check_resonance, resonance_curve
 from .params import ProblemParams, Regime
 
 __all__ = ["delta", "SignClass", "classify_sign", "ConeSpec", "bound_constants",
@@ -117,21 +122,18 @@ def classify_sign(params: ProblemParams, grid_n: int = 201) -> SignClass:
 class ConeSpec:
     """Lower envelope h and constant C with h(t) G(1,s) <= G(t,s) <= C G(1,s).
 
-    For gamma = 0 the envelope is exactly t and C = 2/lam.  Numeric specs
-    carry grid samples; envelope() evaluates a piecewise-linear interpolant
-    lowered by a curvature allowance so the sandwich remains valid between
-    the sample points.
+    For gamma = 0 the envelope is exactly t and C = 2/lam.  Otherwise
+    envelope() evaluates the closed form h(t) = min(w(1-t) q + w(t),
+    w(t) Delta/lam), the smaller of the two endpoint limits of the ratio
+    G(t,s)/G(1,s), which is its minimum over s because the ratio rises up
+    to s = t and falls after it.
     """
 
     gamma: float
     lam: float
     regime: str
     constant: float
-    interval: tuple[float, float] = (0.5, 1.0)
     exact: bool = False
-    t_samples: np.ndarray | None = None
-    h_samples: np.ndarray | None = None
-    allowance: np.ndarray | None = field(default=None, repr=False)
 
     def envelope(self, t):
         """Evaluate the lower envelope h at t (scalar or array)."""
@@ -139,16 +141,19 @@ class ConeSpec:
         if self.exact:
             out = t_arr.astype(float)
         else:
-            base = np.interp(t_arr, self.t_samples, self.h_samples)
-            idx = np.clip(np.searchsorted(self.t_samples, t_arr, side="right") - 1,
-                          0, len(self.allowance) - 1)
-            out = np.maximum(base - self.allowance[idx], 0.5 * base)
+            frontier = delta(self.gamma)
+            w_t = _w(self.gamma, t_arr)
+            out = np.minimum(_w(self.gamma, 1.0 - t_arr) * (frontier - self.lam) / self.lam + w_t,
+                             w_t * frontier / self.lam)
         if np.isscalar(t):
             return float(out)
         return out
 
     def lower_cone_envelope(self, t):
         """h(t)/C, the coefficient in the cone inequality u >= (h/C)||u||."""
+        if self.exact:
+            # (lam/2) t is t/C without the rounding of C = 2/lam
+            return 0.5 * self.lam * self.envelope(t)
         return self.envelope(t) / self.constant
 
 
@@ -161,134 +166,25 @@ def max_kernel_bound(params: ProblemParams) -> float:
     return 1.0 / (2.0 * (2.0 - params.lam))
 
 
-# -- ratio machinery ------------------------------------------------------
-
-_INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_scan(f, a: float, b: float, minimize: bool, iters: int = 60):
-    """Golden-section extremum of f on [a, b]; returns best (x, f(x)) seen."""
-    sign = 1.0 if minimize else -1.0
-    xs = [a, b, a + (b - a) * 0.5]
-    best_x, best_v = None, math.inf
-    for x in xs:
-        v = sign * f(x)
-        if v < best_v:
-            best_x, best_v = x, v
-    lo, hi = a, b
-    x1 = hi - _INV_GOLD * (hi - lo)
-    x2 = lo + _INV_GOLD * (hi - lo)
-    f1, f2 = sign * f(x1), sign * f(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLD * (hi - lo)
-            f1 = sign * f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLD * (hi - lo)
-            f2 = sign * f(x2)
-        if hi - lo < 1e-13:
-            break
-    for x, v in ((x1, f1), (x2, f2)):
-        if v < best_v:
-            best_x, best_v = x, v
-    return best_x, sign * best_v
+def _w(gamma: float, x):
+    """Scaled homogeneous solution, sin(mx)/sin m or sinh(mx)/sinh m."""
+    m = math.sqrt(abs(gamma))
+    if gamma > 0.0:
+        return np.sin(m * np.asarray(x, dtype=float)) / math.sin(m)
+    return _sinh_ratio(m, x)
 
 
-class _RatioField:
-    """G(t,s)/G(1,s) on [0,1]^2 with analytic continuations at s = 0, 1."""
-
-    def __init__(self, kernel: GreenKernel):
-        self.kernel = kernel
-        self.m = kernel.m
-        self.lam = kernel.params.lam
-        self.regime = kernel.regime
-        self.frontier = resonance_curve(kernel.params.gamma)
-
-    def _w(self, x):
-        """Scaled homogeneous solution, sin(mx)/sin m or sinh(mx)/sinh m."""
-        m = self.m
-        x = np.asarray(x, dtype=float)
-        if self.regime is Regime.POSITIVE:
-            return np.sin(m * x) / math.sin(m)
-        from .kernel import _sinh_ratio
-
-        return _sinh_ratio(m, x)
-
-    def limit_s0(self, t):
-        """lim_{s->0+} G(t,s)/G(1,s) for fixed t in (0,1]; 0 at t = 0."""
-        t_arr = np.asarray(t, dtype=float)
-        val = self._w(1.0 - t_arr) * (self.frontier - self.lam) / self.lam + self._w(t_arr)
-        return np.where(t_arr == 0.0, 0.0, val)
-
-    def limit_s1(self, t):
-        """lim_{s->1-} G(t,s)/G(1,s) for fixed t in [0,1); 1 at t = 1."""
-        t_arr = np.asarray(t, dtype=float)
-        val = self._w(t_arr) * self.frontier / self.lam
-        return np.where(t_arr == 1.0, 1.0, val)
-
-    def value(self, t: float, s: float) -> float:
-        if s <= 0.0:
-            return float(self.limit_s0(t))
-        if s >= 1.0:
-            return float(self.limit_s1(t))
-        return float(self.kernel.eval(t, s) / self.kernel.eval(1.0, s))
-
-    def min_over_s(self, t: float, s_grid: np.ndarray, row: np.ndarray) -> float:
-        """Refined min_s of the extended ratio at fixed t.
-
-        row holds the ratio at the interior s_grid points; the endpoint
-        limits join as virtual samples before golden refinement.  Brackets
-        straddling the diagonal kink at s = t are split there.
-        """
-        sx = np.concatenate(([0.0], s_grid, [1.0]))
-        vx = np.concatenate(([float(self.limit_s0(t))], row, [float(self.limit_s1(t))]))
-        j = int(np.argmin(vx))
-        lo = sx[max(j - 1, 0)]
-        hi = sx[min(j + 1, len(sx) - 1)]
-        best = vx[j]
-        brackets = [(lo, hi)]
-        if lo < t < hi:
-            brackets = [(lo, t), (t, hi)]
-        for a, b in brackets:
-            if b - a < 1e-14:
-                continue
-            _, v = _golden_scan(lambda s: self.value(t, s), a, b, minimize=True)
-            best = min(best, v)
-        return best
-
-    def max_refine(self, t0: float, s0: float, span_t: float, span_s: float) -> float:
-        """Coordinate golden ascent of the ratio near (t0, s0)."""
-        t, s = t0, s0
-        best = self.value(t, s)
-        for _ in range(3):
-            a, b = max(0.0, t - span_t), min(1.0, t + span_t)
-            pieces = [(a, b)] if not (a < s < b) else [(a, s), (s, b)]
-            for lo, hi in pieces:
-                if hi - lo < 1e-14:
-                    continue
-                x, v = _golden_scan(lambda tt: self.value(tt, s), lo, hi, minimize=False)
-                if v > best:
-                    best, t = v, x
-            a, b = max(0.0, s - span_s), min(1.0, s + span_s)
-            pieces = [(a, b)] if not (a < t < b) else [(a, t), (t, b)]
-            for lo, hi in pieces:
-                if hi - lo < 1e-14:
-                    continue
-                x, v = _golden_scan(lambda ss: self.value(t, ss), lo, hi, minimize=False)
-                if v > best:
-                    best, s = v, x
-        return best
-
-
-def bound_constants(params: ProblemParams, grid_n: int = 201) -> ConeSpec:
+def bound_constants(params: ProblemParams) -> ConeSpec:
     """Compute the ConeSpec (envelope h, constant C) for a positive kernel.
 
+    Both come in closed form (see the module docstring): h(t) is the
+    smaller endpoint limit of G(t,s)/G(1,s) over s, and C the maximum of
+    the diagonal ratio D(x) = G(x,x)/G(1,x), which is Delta/lam for
+    gamma < 0 and sits at x = min(atan2(A, B)/m, 1) for gamma > 0.
+
     Args:
-        params: problem parameters; the kernel must be Positive-classified
-            and lam must be strictly positive.
-        grid_n: sample count for the t grid and the s scan.
+        params: problem parameters; the kernel must be Positive-classified,
+            lam must be strictly positive and gamma below pi^2.
 
     Returns:
         ConeSpec whose envelope and constant satisfy the sandwich
@@ -296,10 +192,10 @@ def bound_constants(params: ProblemParams, grid_n: int = 201) -> ConeSpec:
 
     Raises:
         DegenerateConeError: lam = 0 (G(1,s) vanishes identically).
-        ClassificationError: the kernel changes sign.
+        ClassificationError: the kernel changes sign, or gamma >= pi^2,
+            where the closed forms are not proved.
+        ResonanceError: the kernel does not exist at these parameters.
     """
-    if grid_n < 11:
-        raise InputError(f"grid_n must be at least 11, got {grid_n}")
     sign = classify_sign(params)
     if not sign.positive:
         raise ClassificationError(
@@ -311,57 +207,26 @@ def bound_constants(params: ProblemParams, grid_n: int = 201) -> ConeSpec:
         return ConeSpec(
             gamma=params.gamma, lam=params.lam, regime=Regime.ZERO.value,
             constant=2.0 / params.lam, exact=True)
+    if params.gamma >= PI_SQ:
+        raise ClassificationError(
+            f"cone constants are proved only for gamma < pi^2, got gamma={params.gamma}")
 
+    # the kernel also refuses tiny lam inside its m = k*pi limit windows
     kernel = GreenKernel(params)
-    fld = _RatioField(kernel)
-    lam = params.lam
-
-    ts = np.linspace(0.0, 1.0, grid_n)
-    ss = np.linspace(0.0, 1.0, grid_n + 2)[1:-1]
-    g1 = kernel.eval(1.0, ss)
-    ratio = kernel.eval(ts[:, None], ss[None, :]) / g1[None, :]
-
-    h = np.empty(grid_n)
-    h[0] = 0.0
-    for i, t in enumerate(ts):
-        if i == 0:
-            continue
-        h[i] = fld.min_over_s(float(t), ss, ratio[i])
-
-    # Positive local curvature means linear interpolation can overshoot h;
-    # subtract twice the corresponding bound per interval (plus a tiny floor).
-    d2 = np.zeros(grid_n)
-    d2[1:-1] = np.maximum(h[:-2] - 2.0 * h[1:-1] + h[2:], 0.0)
-    allow = 2.0 * np.maximum(d2[:-1], d2[1:]) / 8.0 + 1e-12
-
-    # C: mesh max, diagonal ridge, endpoint columns, corner limits, then
-    # local refinement around the best candidates.  The derivative jump makes
-    # t = s a ridge of the ratio, so the diagonal is refined along itself.
-    cands = []
-    imax = np.unravel_index(np.argmax(ratio), ratio.shape)
-    cands.append((float(ts[imax[0]]), float(ss[imax[1]]), float(ratio[imax])))
-    l0 = np.asarray(fld.limit_s0(ts))
-    l1 = np.asarray(fld.limit_s1(ts))
-    cands.append((float(ts[np.argmax(l0)]), 0.0, float(np.max(l0))))
-    cands.append((float(ts[np.argmax(l1)]), 1.0, float(np.max(l1))))
-
-    span = 2.0 / (grid_n - 1)
-    c_best = max(v for _, _, v in cands)
-    for t0, s0, _ in cands:
-        c_best = max(c_best, fld.max_refine(t0, s0, span, span))
-
-    sd = np.linspace(0.0, 1.0, 8 * grid_n + 1)[1:-1]
-    diag = kernel.eval(sd, sd) / kernel.eval(1.0, sd)
-    jd = int(np.argmax(diag))
-    c_best = max(c_best, float(diag[jd]))
-    lo_d, hi_d = max(0.0, sd[jd] - sd[1]), min(1.0, sd[jd] + sd[1])
-    _, v = _golden_scan(lambda x: fld.value(x, x), lo_d, hi_d, minimize=False)
-    c_best = max(c_best, v)
-    # limits of the diagonal ratio at the two corners
-    c_best = max(c_best, fld.frontier / lam, (fld.frontier - lam) / lam)
-    constant = max(1.0, c_best) * (1.0 + 1e-9) + 1e-12
+    lam, m = params.lam, kernel.m
+    frontier = delta(params.gamma)
+    if params.gamma < 0.0:
+        # D is convex, so its maximum is D(1)
+        c_max = frontier / lam
+    else:
+        # D = A sin(mx) + B cos(mx) + B rises up to mx = atan2(A, B)
+        q = (frontier - lam) / lam
+        a = 1.0 / math.sin(m) + 0.5 * q * math.tan(0.5 * m)
+        x = min(math.atan2(a, 0.5 * q) / m, 1.0)
+        c_max = (math.sin(m * x) / math.sin(m)
+                 + q * math.cos(0.5 * m * x) * math.cos(0.5 * m * (1.0 - x)) / math.cos(0.5 * m))
+    constant = c_max * (1.0 + 1e-9) + 1e-12
 
     return ConeSpec(
         gamma=params.gamma, lam=lam, regime=kernel.regime.value,
-        constant=float(constant), exact=False,
-        t_samples=ts, h_samples=h, allowance=allow)
+        constant=float(constant), exact=False)

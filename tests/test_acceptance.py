@@ -138,7 +138,7 @@ def test_criterion_4_sandwich_bounds():
             assert np.max(G - (2.0 / lam) * g1[None, :]) <= 1e-12
         for gamma in ((math.pi / 2) ** 2, -4.0):
             p = ProblemParams(gamma, 1.0)
-            spec = bound_constants(p, grid_n=201)
+            spec = bound_constants(p)
             k = GreenKernel(p)
             G = k.eval(tv[:, None], sv[None, :])
             g1 = k.eval(1.0, sv)

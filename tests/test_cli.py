@@ -175,6 +175,31 @@ def test_solve_superlinear_config(capsys, tmp_path):
     assert abs(report["norm_inf"] - 2.936) < 0.01
 
 
+@pytest.mark.parametrize("gamma", ["-1e-3", "0.02"])
+def test_solve_and_verify_small_gamma(capsys, tmp_path, gamma):
+    # G(1,s) rounds to 0 near the ends at this |gamma|; the cone constants
+    # must not divide by it
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text(f'gamma = {gamma}\nlambda = 1\nf = "u^2"\ngrid_n = 201\n')
+    outdir = tmp_path / "out"
+    code, _, _ = run(capsys, "solve", str(cfg), "--output-dir", str(outdir))
+    assert code == 0
+    code, _, _ = run(capsys, "verify", str(outdir / "solution.csv"), str(cfg))
+    assert code == 0
+
+
+@pytest.mark.parametrize("gamma,lam", [("0", "2"), ("-4", repr(2.0 / math.tanh(1.0)))])
+def test_verify_resonant_refused_in_every_regime(capsys, tmp_path, gamma, lam):
+    # the cone check refuses resonant parameters the same way at gamma = 0
+    sol = tmp_path / "s.csv"
+    sol.write_text("t,u\n" + "".join(f"{x},{x * (1 - x)}\n" for x in np.linspace(0, 1, 21)))
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(f'gamma = {gamma}\nlambda = {lam}\nsigma = "1"\n')
+    code, _, err = run(capsys, "verify", str(sol), str(cfg))
+    assert code == 2
+    assert "resonan" in err.lower()
+
+
 def test_solve_failure_exit_code(capsys, tmp_path):
     cfg = tmp_path / "z.cfg"
     cfg.write_text('gamma = 0\nlambda = 1\nf = "0"\n')

@@ -18,17 +18,11 @@ def test_rule_invariants():
     assert np.all((nodes >= 0) & (nodes <= 1))
     # the split point separates two panel families
     assert not np.any(np.isclose(nodes, 0.3, atol=1e-15))
+    assert QuadratureRule(split_points=(0.5, 0.25, 0.5)).split_points == (0.25, 0.5)
     with pytest.raises(InputError):
         QuadratureRule(panels=0)
     with pytest.raises(InputError):
         QuadratureRule(split_points=(1.5,))
-
-
-def test_with_split_dedup_and_bounds():
-    rule = QuadratureRule(split_points=(0.5,))
-    assert rule.with_split(0.5).split_points == (0.5,)
-    assert rule.with_split(0.0).split_points == (0.5,)
-    assert rule.with_split(0.25).split_points == (0.25, 0.5)
 
 
 def test_integrate_basics():

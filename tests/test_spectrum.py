@@ -1,5 +1,6 @@
 """Positivity frontier, sign classification and cone bound data."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ def test_bound_constants_errors():
 @pytest.mark.parametrize("gamma,lam", [((math.pi / 2) ** 2, 1.0), (-4.0, 1.0)])
 def test_bound_constants_sandwich_on_fine_mesh(gamma, lam):
     # brute-force verification mesh, independent of the 201-point build grid
-    spec = bound_constants(ProblemParams(gamma, lam), grid_n=201)
+    spec = bound_constants(ProblemParams(gamma, lam))
     k = GreenKernel(ProblemParams(gamma, lam))
     tv = np.linspace(0, 1, 501)
     sv = np.linspace(0, 1, 501)[1:-1]
@@ -128,3 +129,95 @@ def test_frontier_consistency_smoke():
             else:
                 assert vals.min() < -1e-8
             assert classify_sign(ProblemParams(gamma, lam)).positive == positive
+
+
+@pytest.mark.parametrize("gamma", [1e-7, -1e-7, 1e-5, -1e-5, 1e-3, -1e-3, 0.02, -0.02])
+def test_bound_constants_small_gamma(gamma):
+    # absolute errors only: near s = 0 and s = 1 the kernel itself loses
+    # relative accuracy as |gamma| -> 0
+    spec = bound_constants(ProblemParams(gamma, 1.0))
+    k = GreenKernel(ProblemParams(gamma, 1.0))
+    tv = np.linspace(0, 1, 501)
+    sv = np.linspace(0, 1, 501)[1:-1]
+    G = k.eval(tv[:, None], sv[None, :])
+    G1 = k.eval(1.0, sv)
+    assert not spec.exact
+    assert np.max(spec.envelope(tv)[:, None] * G1[None, :] - G) <= 1e-10
+    assert np.max(G - spec.constant * G1[None, :]) <= 1e-10
+    assert abs(spec.constant - 2.0) <= abs(gamma)
+
+
+SWEEP_GAMMAS = (-1e5, -400.0, -30.0, -4.0, -1.0, -0.02, 0.02, 1.0, (math.pi / 2) ** 2,
+                3.0, 6.0, 9.0, 9.8, 9.86)
+
+
+@pytest.mark.parametrize("gamma", SWEEP_GAMMAS)
+def test_bound_constants_closed_forms_against_dense_mesh(gamma):
+    s_log = np.logspace(-7.0, math.log10(0.5), 400)
+    s_ends = np.unique(np.concatenate([s_log, 1.0 - s_log]))
+    tv = np.linspace(0, 1, 501)
+    sv = tv[1:-1]
+    t_in = np.linspace(0, 1, 41)[1:-1]
+    xd = np.linspace(1e-6, 1.0 - 1e-6, 100_000)
+    for frac in (0.05, 0.5, 0.95):
+        p = ProblemParams(gamma, frac * delta(gamma))
+        spec = bound_constants(p)
+        k = GreenKernel(p)
+        # (a) the sandwich on a 501^2 mesh
+        G = k.eval(tv[:, None], sv[None, :])
+        G1 = k.eval(1.0, sv)
+        assert np.max(spec.envelope(tv)[:, None] * G1[None, :] - G) <= 1e-10
+        assert np.max(G - spec.constant * G1[None, :]) <= 1e-10
+        # (b) h(t) is the minimum over s, found on a mesh dense at both ends
+        ratio_min = np.min(k.eval(t_in[:, None], s_ends[None, :])
+                           / k.eval(1.0, s_ends)[None, :], axis=1)
+        h = spec.envelope(t_in)
+        # the kernel's J(s) cancels to O(gamma s) near the ends, so at s = 1e-7
+        # and gamma = +-0.02 the ratio carries a relative error of about
+        # eps/(|gamma| s) ~ 1e-7 (7.2e-8 measured; 0 to 1.4e-10 elsewhere)
+        assert np.all(ratio_min >= h * (1.0 - 1e-6)), (frac, np.max(1.0 - ratio_min / h))
+        assert np.all(ratio_min <= h * (1.0 + 1e-4)), (frac, np.max(ratio_min / h - 1.0))
+        # (c) C bounds the mesh ratio and is close to the largest diagonal ratio
+        assert np.max(G / G1[None, :]) <= spec.constant
+        diag_max = np.max(k.eval(xd, xd) / k.eval(1.0, xd))
+        assert spec.constant <= (1.0 + 1e-3) * diag_max, (frac, spec.constant / diag_max)
+
+
+@pytest.mark.parametrize("gamma,lam,search_c", [
+    (-400.0, 5.0, 4.013048656452333), (-30.0, 1.5, 3.687587413850514),
+    (-1.0, 1.9, 1.1424517950763364), (1.0, 1.0, 1.8425341605768422),
+    (3.0, 0.5, 3.339662115462468), (6.0, 0.2, 8.23925312141171)])
+def test_bound_constants_not_above_search_values(gamma, lam, search_c):
+    # C as the former golden-section search found it; the closed form may
+    # only tighten it
+    assert bound_constants(ProblemParams(gamma, lam)).constant <= search_c * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("gamma,lam", [(-4.0, 1.0), (3.0, 1.0)])
+def test_bound_constants_without_kernel_scans(gamma, lam, monkeypatch):
+    calls = []
+    real_eval = GreenKernel.eval
+
+    def counting_eval(self, t, s):
+        calls.append((t, s))
+        return real_eval(self, t, s)
+
+    monkeypatch.setattr(GreenKernel, "eval", counting_eval)
+    elapsed = []
+    for _ in range(5):
+        calls.clear()
+        t0 = time.perf_counter()
+        bound_constants(ProblemParams(gamma, lam))
+        elapsed.append(time.perf_counter() - t0)
+        assert len(calls) <= 2
+    assert min(elapsed) < 0.02
+
+
+def test_bound_constants_refuses_gamma_above_pi_squared():
+    # the grid scan calls this kernel positive, but the closed forms are
+    # proved only for gamma < pi^2
+    p = ProblemParams(math.pi ** 2 + 1e-6, -1e-3)
+    sign = classify_sign(p)
+    assert sign.positive and sign.source == "numerical"
+    with pytest.raises(ClassificationError):
+        bound_constants(p)
