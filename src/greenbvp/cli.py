@@ -20,6 +20,7 @@ from `green` are written row by row as they are formatted.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -148,6 +149,9 @@ def cmd_green(args) -> int:
 def cmd_delta(args) -> int:
     if args.steps < 1:
         raise InputError(f"--steps must be positive, got {args.steps}")
+    for flag, value in (("--gamma-min", args.gamma_min), ("--gamma-max", args.gamma_max)):
+        if not math.isfinite(value):
+            raise InputError(f"{flag} must be finite, got {value}")
     if args.gamma_max >= PI_SQ:
         raise DomainError(f"--gamma-max must be below pi^2, got {args.gamma_max}")
     if args.gamma_min > args.gamma_max:
@@ -224,6 +228,12 @@ def _number(key: str, raw, kind=float):
         raise InputError(f"config key {key!r}: expected {kind.__name__}, got {raw!r}") from None
 
 
+def _require(key: str, value, ok: bool, want: str):
+    """An InputError naming config key unless ok."""
+    if not ok:
+        raise InputError(f"config key {key!r}: expected {want}, got {value!r}")
+
+
 def _problem_from_config(cfg: dict) -> tuple[NonlinearProblem, SolveConfig, bool]:
     if "gamma" not in cfg or "lambda" not in cfg:
         raise InputError("config must set gamma and lambda")
@@ -242,11 +252,17 @@ def _problem_from_config(cfg: dict) -> tuple[NonlinearProblem, SolveConfig, bool
         min_norm=_number("min_norm", cfg.get("min_norm", 1e-4)),
         grid_n=_number("grid_n", cfg.get("grid_n", 201), int),
     )
+    _require("tol", solve_cfg.tol, 0.0 < solve_cfg.tol < math.inf, "a finite value > 0")
+    _require("max_iter", solve_cfg.max_iter, solve_cfg.max_iter >= 1, "an integer >= 1")
+    _require("min_norm", solve_cfg.min_norm, 0.0 <= solve_cfg.min_norm < math.inf,
+             "a finite value >= 0")
     if "init_amplitudes" in cfg:
         amps = tuple(_number("init_amplitudes", x)
                      for x in cfg["init_amplitudes"].split(",") if x.strip())
         if not amps:
             raise InputError("init_amplitudes must list at least one value")
+        for a in amps:
+            _require("init_amplitudes", a, 0.0 < a < math.inf, "finite values > 0")
         solve_cfg.init_amplitudes = amps
     want_svg = cfg.get("svg", "false").lower() in ("1", "true", "yes")
     return problem, solve_cfg, want_svg

@@ -2,21 +2,22 @@
 
 Discretizes u'' + gamma*u + sigma(t) = 0 (or + f(t,u) = 0) on a uniform
 grid with n interior points, h = 1/(n+1), by second-order central
-differences.  One boundary row pins the Dirichlet end; the other carries
-the nonlocal condition u(end) = lam * trapezoid(u), which couples that row
-to every unknown:
+differences.  The first row pins u(0) = 0; the last carries the nonlocal
+condition u(1) = lam * trapezoid(u), which couples that row to every
+unknown:
 
-    [ 1                                  ] [u_0  ]   [ 0        ]
+    [ 1/h^2                              ] [u_0  ]   [ 0        ]
     [ 1/h^2  g-2/h^2  1/h^2              ] [u_1  ]   [ -sigma_1 ]
     [        ...                         ] [ ... ] = [  ...     ]
     [              1/h^2  g-2/h^2  1/h^2 ] [u_n  ]   [ -sigma_n ]
     [ -lw_0  -lw_1   ...    -lw_n  1-lw_N] [u_N  ]   [ 0        ]
 
 with lw = lam * trapezoid weights.  The dense row is eliminated by a
-Sherman-type reduction: solve the leading tridiagonal block twice (for the
-right-hand side and for the border column), then a scalar equation gives
-the borderline unknown in O(n).  side="left" mirrors the layout for the
-conditions u(0) = lam * int u, u(1) = 0.
+Sherman-type reduction: one LAPACK tridiagonal LU (scipy's solve_banded)
+solves the leading block for both the right-hand side and the border
+column, then a scalar equation gives the border unknown in O(n).
+side="left", the conditions u(0) = lam * int u, u(1) = 0, is solved as the
+right-hand problem reflected by t -> 1 - t.
 
 Deliberately imports nothing from the kernel modules so that agreement
 between this solver and the Green's function route is meaningful evidence.
@@ -33,36 +34,25 @@ from .profile import SolutionProfile
 
 __all__ = ["FDSystem", "solve_fd_linear", "solve_fd_newton"]
 
+_SINGULAR_SYSTEM = ("discrete system is singular (border pivot {:.3e}); "
+                    "parameters are at or near resonance")
+_SINGULAR_NEWTON = "Newton linearization is singular (border pivot {:.3e})"
 
-def _thomas(lo, di, up, rhs):
-    """Solve a tridiagonal system; lo[0] and up[-1] are ignored."""
-    n = len(di)
-    cp = np.empty(n)
-    dp = np.empty(n)
-    if di[0] == 0.0:
-        raise ResonanceError("singular tridiagonal block (zero pivot)")
-    cp[0] = up[0] / di[0]
-    dp[0] = rhs[0] / di[0]
-    for i in range(1, n):
-        den = di[i] - lo[i] * cp[i - 1]
-        if den == 0.0:
-            raise ResonanceError("singular tridiagonal block (zero pivot)")
-        cp[i] = up[i] / den if i < n - 1 else 0.0
-        dp[i] = (rhs[i] - lo[i] * dp[i - 1]) / den
-    x = np.empty(n)
-    x[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
+
+def _check_side(side: str):
+    if side not in ("left", "right"):
+        raise InputError(f"side must be 'left' or 'right', got {side!r}")
 
 
 @dataclass
 class FDSystem:
     """Assembled discretization: tridiagonal part plus one dense border row.
 
-    The three diagonals cover the n+1 non-border rows (the border unknown's
-    column is kept separately in border_col); border_row holds the dense
-    trapezoid row, border_pos its index (0 or n+1).
+    The three diagonals cover the n+1 block rows over u_0..u_n (lower[0]
+    and upper[-1] are unused); the border unknown u_{n+1} has its column
+    in border_col and the dense trapezoid row border_row.  border_pos is
+    the border unknown's index in the solution: n+1, or 0 for side="left",
+    whose system is held reflected and whose solution solve() reverses.
     """
 
     n: int
@@ -76,26 +66,31 @@ class FDSystem:
     border_pos: int
     rhs: np.ndarray
 
-    def solve(self) -> np.ndarray:
-        """Sherman-type reduction: two tridiagonal solves and a scalar."""
-        p = _thomas(self.lower, self.diag, self.upper, self.rhs)
-        q = _thomas(self.lower, self.diag, self.upper, -self.border_col)
-        w = self.border_row
-        if self.border_pos == 0:
-            w_other, w_self = w[1:], w[0]
-        else:
-            w_other, w_self = w[:-1], w[-1]
+    def solve(self, border_rhs: float = 0.0, singular: str = _SINGULAR_SYSTEM) -> np.ndarray:
+        """Sherman-type reduction: one banded LU for two right-hand sides, then a scalar.
+
+        border_rhs is the right-hand side of the border row; singular is
+        the message of the ResonanceError for a vanishing border pivot.
+        """
+        from scipy.linalg import LinAlgError, solve_banded
+
+        ab = np.zeros((3, self.n + 1))
+        ab[0, 1:] = self.upper[:-1]
+        ab[1] = self.diag
+        ab[2, :-1] = self.lower[1:]
+        try:
+            pq = solve_banded((1, 1), ab, np.column_stack((self.rhs, -self.border_col)),
+                              overwrite_ab=True, overwrite_b=True, check_finite=False)
+        except LinAlgError:
+            raise ResonanceError("singular tridiagonal block (zero pivot)") from None
+        p, q = pq[:, 0], pq[:, 1]
+        w_other, w_self = self.border_row[:-1], self.border_row[-1]
         den = w_self + w_other @ q
-        scale = max(1.0, float(np.max(np.abs(w))))
-        if abs(den) < 1e-12 * scale:
-            raise ResonanceError(
-                f"discrete system is singular (border pivot {den:.3e}); "
-                "parameters are at or near resonance")
-        u_border = -(w_other @ p) / den
-        interior = p + q * u_border
-        if self.border_pos == 0:
-            return np.concatenate(([u_border], interior))
-        return np.concatenate((interior, [u_border]))
+        if abs(den) < 1e-12 * max(1.0, float(np.max(np.abs(self.border_row)))):
+            raise ResonanceError(singular.format(den))
+        u_border = (border_rhs - w_other @ p) / den
+        u = np.append(p + q * u_border, u_border)
+        return u[::-1] if self.border_pos == 0 else u
 
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:
@@ -108,52 +103,34 @@ def _assemble(params: ProblemParams, sigma_vals: np.ndarray, n: int,
               side: str, diag_shift: np.ndarray | None = None) -> FDSystem:
     if n < 3:
         raise InputError(f"need at least 3 interior points, got {n}")
-    if side not in ("left", "right"):
-        raise InputError(f"side must be 'left' or 'right', got {side!r}")
+    _check_side(side)
     h = 1.0 / (n + 1)
     grid = np.linspace(0.0, 1.0, n + 2)
-    lam = params.lam
-    wtrap = lam * _trapezoid_weights(n, h)
 
-    # Tridiagonal block over the non-border unknowns; the border unknown's
-    # coefficients go to border_col.  Rows: Dirichlet row + n interior rows.
-    lower = np.zeros(n + 1)
-    diag = np.zeros(n + 1)
-    upper = np.zeros(n + 1)
-    border_col = np.zeros(n + 1)
+    # Block rows: u(0) = 0, then the n interior rows; the border unknown
+    # u_{n+1} enters only the last one, through border_col.  The first row
+    # is scaled like the stencil rows, so that partial pivoting in the LU
+    # leaves the rows in order and the solve as accurate as a plain sweep.
     inner = params.gamma - 2.0 / h**2
     if diag_shift is not None:
         inner = inner + diag_shift
-
-    if side == "right":
-        # unknowns u_0..u_n in the block, border unknown u_{n+1}
-        diag[0] = 1.0                                    # u(0) = 0
-        diag[1:] = inner
-        lower[1:] = 1.0 / h**2
-        upper[1:-1] = 1.0 / h**2
-        border_col[-1] = 1.0 / h**2
-        border_row = -wtrap.copy()
-        border_row[-1] += 1.0                            # u_N - lam*trap(u) = 0
-        border_pos = n + 1
-    else:
-        # unknowns u_1..u_{n+1} in the block, border unknown u_0
-        diag[:-1] = inner
-        diag[-1] = 1.0                                   # u(1) = 0
-        upper[:-1] = 1.0 / h**2
-        lower[1:-1] = 1.0 / h**2
-        border_col[0] = 1.0 / h**2
-        border_row = -wtrap.copy()
-        border_row[0] += 1.0                             # u_0 - lam*trap(u) = 0
-        border_pos = 0
+    diag = np.empty(n + 1)
+    diag[0] = 1.0 / h**2
+    diag[1:] = inner
+    lower = np.full(n + 1, 1.0 / h**2)
+    lower[0] = 0.0
+    upper = np.full(n + 1, 1.0 / h**2)
+    upper[0] = upper[-1] = 0.0
+    border_col = np.zeros(n + 1)
+    border_col[-1] = 1.0 / h**2
+    border_row = -params.lam * _trapezoid_weights(n, h)
+    border_row[-1] += 1.0                                # u_N - lam*trap(u) = 0
 
     rhs = np.zeros(n + 1)
-    if side == "right":
-        rhs[1:] = -sigma_vals
-    else:
-        rhs[:-1] = -sigma_vals
+    rhs[1:] = -(sigma_vals if side == "right" else sigma_vals[::-1])
     return FDSystem(n=n, h=h, grid=grid, lower=lower, diag=diag, upper=upper,
                     border_col=border_col, border_row=border_row,
-                    border_pos=border_pos, rhs=rhs)
+                    border_pos=n + 1 if side == "right" else 0, rhs=rhs)
 
 
 def _eval_on(f, t: np.ndarray) -> np.ndarray:
@@ -172,8 +149,7 @@ def solve_fd_linear(params: ProblemParams, sigma, n: int, side: str = "right") -
         raise InputError(f"oracle resolution too low: n={n} < 50")
     grid = np.linspace(0.0, 1.0, n + 2)
     sigma_vals = _eval_on(sigma, grid[1:-1])
-    system = _assemble(params, sigma_vals, n, side)
-    return SolutionProfile(grid, system.solve())
+    return SolutionProfile(grid, _assemble(params, sigma_vals, n, side).solve())
 
 
 def solve_fd_newton(params: ProblemParams, f, n: int, u0: SolutionProfile | np.ndarray | None,
@@ -188,6 +164,17 @@ def solve_fd_newton(params: ProblemParams, f, n: int, u0: SolutionProfile | np.n
     """
     if n < 10:
         raise InputError(f"need at least 10 interior points, got {n}")
+    _check_side(side)
+    if side == "left":
+        # the right-hand problem in s = 1 - t, solved on the same grid
+        if isinstance(u0, SolutionProfile):
+            u0 = u0(np.linspace(0.0, 1.0, n + 2))
+        if u0 is not None:
+            u0 = np.asarray(u0, dtype=float)[::-1]
+        prof = solve_fd_newton(params, lambda t, u: f(1.0 - t, u), n, u0, tol=tol,
+                               max_iter=max_iter, damping=damping,
+                               clip_negative=clip_negative)
+        return SolutionProfile(prof.grid, prof.values[::-1])
     h = 1.0 / (n + 1)
     grid = np.linspace(0.0, 1.0, n + 2)
     lam = params.lam
@@ -209,15 +196,10 @@ def solve_fd_newton(params: ProblemParams, f, n: int, u0: SolutionProfile | np.n
 
     def residual(uv):
         F = np.empty(n + 2)
-        ti = grid[1:-1]
+        F[0] = uv[0]
         F[1:-1] = (uv[:-2] - 2.0 * uv[1:-1] + uv[2:]) / h**2 + params.gamma * uv[1:-1] \
-            + fval(ti, uv[1:-1])
-        if side == "right":
-            F[0] = uv[0]
-            F[-1] = uv[-1] - wtrap @ uv
-        else:
-            F[-1] = uv[-1]
-            F[0] = uv[0] - wtrap @ uv
+            + fval(grid[1:-1], uv[1:-1])
+        F[-1] = uv[-1] - wtrap @ uv
         return F
 
     def dfdu(tv, uv):
@@ -243,27 +225,12 @@ def solve_fd_newton(params: ProblemParams, f, n: int, u0: SolutionProfile | np.n
         shift = dfdu(grid[1:-1], u[1:-1])
         if not np.all(np.isfinite(shift)):
             raise SearchFailureError("fd Newton Jacobian is not finite", best_residual=best)
-        system = _assemble(params, np.zeros(n), n, side, diag_shift=shift)
+        system = _assemble(params, np.zeros(n), n, "right", diag_shift=shift)
         # block rows take the non-border residual; the border one enters the
         # scalar stage directly
-        system.rhs = -F[:-1] if side == "right" else -F[1:]
-        p = _thomas(system.lower, system.diag, system.upper, system.rhs)
-        q = _thomas(system.lower, system.diag, system.upper, -system.border_col)
-        w = system.border_row
-        if side == "right":
-            w_other, w_self, f_border = w[:-1], w[-1], F[-1]
-        else:
-            w_other, w_self, f_border = w[1:], w[0], F[0]
-        den = w_self + w_other @ q
-        if abs(den) < 1e-12 * max(1.0, float(np.max(np.abs(w)))):
-            raise ResonanceError(
-                f"Newton linearization is singular (border pivot {den:.3e})")
-        d_border = (-f_border - w_other @ p) / den
-        interior = p + q * d_border
-        if side == "right":
-            step_vec = np.concatenate((interior, [d_border]))
-        else:
-            step_vec = np.concatenate(([d_border], interior))
+        system.rhs = -F[:-1]
+        system.rhs[0] /= h**2
+        step_vec = system.solve(-F[-1], _SINGULAR_NEWTON)
 
         alpha = damping
         accepted = False

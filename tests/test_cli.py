@@ -105,10 +105,11 @@ def test_green_json_non_finite_rows_fall_back_to_to_json():
 def test_import_cli_leaves_out_scipy_interpolate():
     src = os.path.dirname(os.path.dirname(greenbvp.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, greenbvp.cli; print('scipy.interpolate' in sys.modules)"
+    code = ("import sys, greenbvp.cli; "
+            "print('scipy.interpolate' in sys.modules, 'scipy.linalg' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_delta_rows(capsys):
@@ -128,6 +129,18 @@ def test_delta_usage_and_domain_errors(capsys):
     code, _, _ = run(capsys, "delta", "--gamma-min", "0", "--gamma-max", "11",
                      "--steps", "5")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--gamma-min", "--gamma-max"])
+@pytest.mark.parametrize("value", ["-inf", "inf", "nan"])
+def test_delta_non_finite_gamma_refused(capsys, flag, value):
+    bounds = {"--gamma-min": "-1", "--gamma-max": "0"}
+    bounds[flag] = value
+    argv = [f"{k}={v}" for k, v in bounds.items()]
+    code, out, err = run(capsys, "delta", *argv, "--steps", "3")
+    assert code == 1
+    assert out == ""
+    assert f"{flag} must be finite, got {float(value)}" in err
 
 
 def test_classify(capsys):
@@ -253,6 +266,29 @@ def test_small_grid_refused_before_search(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "solve", str(cfg), "--output-dir", str(tmp_path / "o"))
     assert code == 1
     assert "need at least 11 points" in err
+
+
+@pytest.mark.parametrize("line, key", [
+    ("init_amplitudes = nan", "init_amplitudes"),
+    ("init_amplitudes = 1, inf", "init_amplitudes"),
+    ("init_amplitudes = 0.1, -1", "init_amplitudes"),
+    ("tol = nan", "tol"),
+    ("tol = -1", "tol"),
+    ("min_norm = inf", "min_norm"),
+    ("max_iter = -3", "max_iter"),
+], ids=["amplitude-nan", "amplitude-inf", "amplitude-negative", "tol-nan",
+        "tol-negative", "min_norm-inf", "max_iter-negative"])
+def test_bad_config_value_refused_before_search(capsys, tmp_path, monkeypatch, line, key):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("greenbvp.nonlinear._RowCache", no_search)
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text(f'gamma = 0\nlambda = 1\nf = "sqrt(u)"\n{line}\n')
+    code, _, err = run(capsys, "solve", str(cfg), "--output-dir", str(tmp_path / "o"))
+    assert code == 1
+    assert f"config key '{key}'" in err
+    assert "Traceback" not in err
 
 
 def test_verify_mismatched_grid(capsys, tmp_path):

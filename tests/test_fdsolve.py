@@ -110,3 +110,57 @@ def test_oracle_is_structurally_independent_of_the_kernel():
                 if alias.name.startswith("greenbvp"):
                     imported.add(alias.name.split(".", 1)[-1])
     assert imported <= {"errors", "params", "profile"}, imported
+
+
+def _dense_bordered_solve(params, sigma_vals, n, side):
+    """np.linalg.solve of the full (n+2)-square system, border row and all."""
+    from greenbvp.fdsolve import _trapezoid_weights
+
+    h = 1.0 / (n + 1)
+    A = np.zeros((n + 2, n + 2))
+    b = np.zeros(n + 2)
+    rows = np.arange(1, n + 1)
+    A[rows, rows - 1] = A[rows, rows + 1] = 1.0 / h**2
+    A[rows, rows] = params.gamma - 2.0 / h**2
+    b[rows] = -sigma_vals
+    dirichlet, border = (0, n + 1) if side == "right" else (n + 1, 0)
+    # the Dirichlet row at the stencil rows' scale keeps the pivoting LU accurate
+    A[dirichlet, dirichlet] = 1.0 / h**2
+    A[border] = -params.lam * _trapezoid_weights(n, h)
+    A[border, border] += 1.0
+    return np.linalg.solve(A, b)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("gamma", [-1e4, -4.0, 0.0, 3.0, 9.0])
+def test_linear_matches_dense_bordered_solve(side, gamma):
+    n = 50
+    sigma = lambda t: 1.0 + t**2
+    for lam in (0.0, 0.5, 1.5):
+        p = ProblemParams(gamma, lam)
+        prof = solve_fd_linear(p, sigma, n, side=side)
+        ref = _dense_bordered_solve(p, sigma(prof.grid[1:-1]), n, side)
+        assert np.max(np.abs(prof.values - ref)) <= 1e-12 * np.max(np.abs(ref)), lam
+
+
+def test_newton_left_is_the_reflected_right_solve():
+    p = ProblemParams(0.0, 1.0)
+    f = lambda t, u: t * u**3 + np.exp(t * u) - 1.0
+    grid = np.linspace(0.0, 1.0, 202)
+    seed = 4.0 * grid                      # reaches the nontrivial solution, norm 2.936
+    left = solve_fd_newton(p, lambda t, u: f(1.0 - t, u), 200, seed[::-1],
+                           tol=1e-8, side="left")
+    right = solve_fd_newton(p, f, 200, seed, tol=1e-8)
+    assert np.array_equal(left.grid, right.grid)
+    assert np.max(np.abs(left.values[::-1] - right.values)) <= 1e-12 * right.norm_inf
+    assert right.norm_inf == pytest.approx(2.936, abs=1e-3)
+
+
+def test_singular_block_raises_resonance_error():
+    from greenbvp.fdsolve import _assemble
+
+    n = 50
+    system = _assemble(ProblemParams(0.0, 1.0), np.ones(n), n, "right")
+    system.lower[5] = system.diag[5] = system.upper[5] = 0.0
+    with pytest.raises(ResonanceError, match="singular tridiagonal block"):
+        system.solve()
