@@ -134,6 +134,7 @@ def _assemble(params: ProblemParams, sigma_vals: np.ndarray, n: int,
 
 
 def _eval_on(f, t: np.ndarray) -> np.ndarray:
+    # quadrature.eval_on does the same; the oracle imports no Green's-function code
     try:
         out = np.asarray(f(t), dtype=float)
         if out.shape != t.shape:

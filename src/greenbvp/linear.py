@@ -16,7 +16,7 @@ from .errors import InputError
 from .kernel import GreenKernel
 from .params import ProblemParams
 from .profile import SolutionProfile
-from .quadrature import QuadratureRule, integrate_kernel_row
+from .quadrature import KernelOperator, QuadratureRule, eval_on
 
 __all__ = ["ResidualReport", "solve_linear", "verify_solution"]
 
@@ -54,11 +54,8 @@ def solve_linear(params: ProblemParams, sigma, grid_n: int = 201,
     """
     if grid_n < 11:
         raise InputError(f"grid_n must be at least 11, got {grid_n}")
-    kernel = GreenKernel(params)
-    rule = rule if rule is not None else QuadratureRule()
     grid = np.linspace(0.0, 1.0, grid_n)
-    values = np.array([integrate_kernel_row(kernel, t, sigma, rule) for t in grid])
-    return SolutionProfile(grid, values)
+    return SolutionProfile(grid, KernelOperator(GreenKernel(params), grid, rule).integrate(sigma))
 
 
 def integrate_uniform(values: np.ndarray, h: float) -> float:
@@ -94,13 +91,7 @@ def verify_solution(params: ProblemParams, sigma, profile: SolutionProfile,
     if fd_h is not None and abs(fd_h - h) > 1e-9 * h:
         raise InputError(f"fd_h={fd_h} does not match the grid spacing {h}")
 
-    try:
-        sig = np.asarray(sigma(grid), dtype=float)
-        if sig.shape != grid.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        sig = np.array([float(sigma(x)) for x in grid])
-
+    sig = eval_on(sigma, grid)
     d2 = np.empty_like(u)
     d2[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2
     d2[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / h**2

@@ -29,7 +29,7 @@ from .kernel import GreenKernel
 from .linear import ResidualReport, verify_solution
 from .params import ProblemParams
 from .profile import SolutionProfile
-from .quadrature import QuadratureRule
+from .quadrature import KernelOperator, QuadratureRule
 from .spectrum import PI_SQ, ConeSpec, SignClass, bound_constants, classify_sign, delta
 from . import fdsolve
 
@@ -135,42 +135,17 @@ def reflect_problem(problem: NonlinearProblem) -> NonlinearProblem:
 
 # -- the operator ----------------------------------------------------------
 
-class _RowCache:
-    """Frozen quadrature data for T on a fixed grid: nodes and G-weights.
-
-    Rows may differ in length, so the nodes of all rows are stored flat,
-    with rows[k] the grid index of the row that node k belongs to.
-    """
-
-    def __init__(self, kernel: GreenKernel, grid: np.ndarray, rule: QuadratureRule | None):
-        base = rule if rule is not None else QuadratureRule()
-        nodes, gweights, rows = [], [], []
-        for i, t in enumerate(grid):
-            nd, wt = base.row_nodes_weights(float(t))
-            nodes.append(nd)
-            gweights.append(wt * kernel.eval(float(t), nd))
-            rows.append(np.full(len(nd), i))
-        self.grid = grid
-        self.nodes = np.concatenate(nodes)
-        self.gw = np.concatenate(gweights)
-        self.rows = np.concatenate(rows)
-
-    def apply(self, nl: _Nonlinearity, u_vec: np.ndarray) -> np.ndarray:
-        from scipy.interpolate import CubicSpline
-        spline = CubicSpline(self.grid, u_vec)
-        u_at = np.maximum(spline(self.nodes), 0.0)
-        vals = np.asarray(nl.eval(self.nodes, u_at), dtype=float)
-        return np.bincount(self.rows, weights=self.gw * vals, minlength=len(self.grid))
+def _apply(op: KernelOperator, nl: _Nonlinearity, u_vec: np.ndarray) -> np.ndarray:
+    """T on grid values: the row sums of f(s, u(s)), u the spline through u_vec."""
+    return op.row_sums(nl.eval(op.nodes, op.sample(u_vec)))
 
 
 def apply_T(problem: NonlinearProblem, u: SolutionProfile, grid_n: int | None = None,
             rule: QuadratureRule | None = None) -> SolutionProfile:
     """One application of the fixed-point operator, resampled on grid_n points."""
-    kernel = GreenKernel(problem.params)
     grid = u.grid if grid_n is None else np.linspace(0.0, 1.0, grid_n)
-    cache = _RowCache(kernel, grid, rule)
-    values = cache.apply(problem._nl, u(grid) if grid_n is not None else u.values)
-    return SolutionProfile(grid, values)
+    op = KernelOperator(GreenKernel(problem.params), grid, rule)
+    return SolutionProfile(grid, _apply(op, problem._nl, u.values if grid_n is None else u(grid)))
 
 
 # -- growth classification --------------------------------------------------
@@ -385,17 +360,11 @@ def _anderson_iterate(T, u0, tol, max_iter, depth, min_norm):
     return u, "maxiter", max_iter
 
 
-def _integral_newton(cache: _RowCache, nl: _Nonlinearity, u0, tol, max_iter=15):
+def _integral_newton(op: KernelOperator, nl: _Nonlinearity, u0, tol, max_iter=15):
     """Newton on the collocated integral equation u = T u (hat-weight Jacobian)."""
-    from scipy.interpolate import CubicSpline
-    grid = cache.grid
-    n = len(grid)
     u = np.maximum(np.asarray(u0, dtype=float), 0.0)
     it = 0
-
-    def T(vec):
-        return cache.apply(nl, vec)
-
+    T = lambda vec: _apply(op, nl, vec)
     try:
         Tu = T(u)
     except (ExprDomainError, QuadratureError):
@@ -405,26 +374,13 @@ def _integral_newton(cache: _RowCache, nl: _Nonlinearity, u0, tol, max_iter=15):
         rn = float(np.max(np.abs(R)))
         if rn < tol:
             return u, rn, it
-        flat = cache.nodes
-        spline = CubicSpline(grid, u)
-        u_at = np.maximum(spline(flat), 0.0)
+        u_at = op.sample(u)
         step = 1e-7 * np.maximum(1.0, np.abs(u_at))
         lo = np.maximum(u_at - step, 0.0)
         try:
-            fu = (np.asarray(nl.eval(flat, u_at + step), dtype=float)
-                  - np.asarray(nl.eval(flat, lo), dtype=float)) / (u_at + step - lo)
-        except (ExprDomainError, QuadratureError):
-            return u, rn, it
-        W = cache.gw * fu
-        pos = np.clip(flat, 0.0, 1.0) * (n - 1)
-        j = np.clip(np.floor(pos).astype(int), 0, n - 2)
-        frac = pos - j
-        A = np.zeros((n, n))
-        np.add.at(A, (cache.rows, j), W * (1.0 - frac))
-        np.add.at(A, (cache.rows, j + 1), W * frac)
-        try:
-            d = np.linalg.solve(np.eye(n) - A, -R)
-        except np.linalg.LinAlgError:
+            fu = (nl.eval(op.nodes, u_at + step) - nl.eval(op.nodes, lo)) / (u_at + step - lo)
+            d = np.linalg.solve(np.eye(len(u)) - op.hat_projection(fu), -R)
+        except (ExprDomainError, QuadratureError, np.linalg.LinAlgError):
             return u, rn, it
         alpha, accepted = 1.0, False
         for _ in range(12):
@@ -492,12 +448,9 @@ def solve_positive(problem: NonlinearProblem, config: SolveConfig | None = None)
         pass
 
     grid = np.linspace(0.0, 1.0, cfg.grid_n)
-    cache = _RowCache(kernel, grid, cfg.rule)
+    op = KernelOperator(kernel, grid, cfg.rule)
     nl = problem._nl
-
-    def T(vec):
-        return cache.apply(nl, vec)
-
+    T = lambda vec: _apply(op, nl, vec)
     iterations = 0
     best_residual = math.inf
 
@@ -534,7 +487,7 @@ def solve_positive(problem: NonlinearProblem, config: SolveConfig | None = None)
             out = finalize(u)
             if out is not None:
                 return out
-        u2, rn, it2 = _integral_newton(cache, nl, u_vec, cfg.tol * 0.5)
+        u2, rn, it2 = _integral_newton(op, nl, u_vec, cfg.tol * 0.5)
         iterations += it2
         if rn < cfg.tol:
             return finalize(u2)

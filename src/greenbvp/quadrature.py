@@ -1,4 +1,4 @@
-"""Composite Gauss-Legendre quadrature on [0,1] with panel splitting.
+"""Composite Gauss-Legendre quadrature on [0,1] and the discretized kernel rows.
 
 The kernel-weighted integrands have a derivative kink along s = t, so the
 row integrals always place a panel boundary at s = t.  Smooth pieces are
@@ -7,6 +7,10 @@ The endpoint s = 0 is not always smooth: where u(0) = 0 and f = sqrt(u),
 the integrand behaves like s^(3/2) there.  Row integrals therefore also
 grade the first panel geometrically toward s = 0, with a layout that is
 the same for every row apart from the cut at s = t.
+
+One KernelOperator holds these rows for a whole grid.  It serves the
+linear solve, the fixed-point operator T of the nonlinear solver and the
+Jacobian of its Newton iteration.
 """
 from __future__ import annotations
 
@@ -17,12 +21,16 @@ import numpy as np
 
 from .errors import InputError, QuadratureError
 
-__all__ = ["QuadratureRule", "integrate", "integrate_kernel_row"]
+__all__ = ["KernelOperator", "QuadratureRule", "integrate", "integrate_kernel_row"]
 
 # Kernel rows grade the first panel toward s = 0 by these fixed steps: the
 # piece next to s = 0 is 2^-8 of the first panel.
 _GRADED_PANELS = 8
 _GRADING_RATIO = 0.5
+
+# KernelOperator evaluates the kernel on this many rows per call: one call
+# per row is slow, and one call on every node holds all its temporaries
+_ROW_BLOCK = 128
 
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -112,41 +120,84 @@ def _gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
     return (half * (x0 + 1.0) + lo).ravel(), (half * w0).ravel()
 
 
+def eval_on(f, x: np.ndarray) -> np.ndarray:
+    """f at the points x: one call on the array, else one call per scalar."""
+    try:
+        out = np.asarray(f(x), dtype=float)
+        if out.shape != x.shape:
+            raise TypeError
+        return out
+    except (TypeError, ValueError):
+        return np.array([float(f(v)) for v in x])
+
+
 def integrate(f, rule: QuadratureRule | None = None) -> float:
     """Integral of f over [0,1] with the given (or default) rule."""
-    if rule is None:
-        rule = QuadratureRule()
-    nodes, weights = rule.nodes_weights()
-    try:
-        vals = np.asarray(f(nodes), dtype=float)
-        if vals.shape != nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(f(x)) for x in nodes])
+    nodes, weights = (rule or QuadratureRule()).nodes_weights()
+    vals = eval_on(f, nodes)
     if not np.all(np.isfinite(vals)):
         bad = nodes[~np.isfinite(vals)][0]
         raise QuadratureError(f"integrand returned a non-finite value at s={bad!r}", node=bad)
     return float(weights @ vals)
 
 
-def integrate_kernel_row(kernel, t: float, sigma, rule: QuadratureRule | None = None) -> float:
-    """int_0^1 G(t,s) sigma(s) ds on the row layout of rule.row_nodes_weights(t).
+class KernelOperator:
+    """The kernel rows int_0^1 G(t_i, s) . ds of every grid point t_i, discretized.
 
-    sigma may be a plain callable or anything callable on arrays (a
-    SolutionProfile works directly).
+    Row i uses the nodes and weights of rule.row_nodes_weights(t_i), the
+    weights multiplied by G(t_i, node).  Rows differ in length, so the nodes
+    of all rows are stored flat, with rows[k] the grid index of node k.
     """
-    if rule is None:
-        rule = QuadratureRule()
-    nodes, weights = rule.row_nodes_weights(float(t))
-    g = kernel.eval(float(t), nodes)
-    try:
-        sig = np.asarray(sigma(nodes), dtype=float)
-        if sig.shape != nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        sig = np.array([float(sigma(x)) for x in nodes])
-    vals = g * sig
-    if not np.all(np.isfinite(vals)):
-        bad = nodes[~np.isfinite(vals)][0]
-        raise QuadratureError(f"kernel row integrand non-finite at s={bad!r}", node=bad)
-    return float(weights @ vals)
+
+    def __init__(self, kernel, grid, rule: QuadratureRule | None = None):
+        rule = rule or QuadratureRule()
+        self.grid = np.asarray(grid, dtype=float)
+        nodes, weights = zip(*[rule.row_nodes_weights(float(t)) for t in self.grid])
+        self.rows = np.repeat(np.arange(len(self.grid)), [len(x) for x in nodes])
+        self.nodes, self.gw = np.concatenate(nodes), np.concatenate(weights)
+        starts = np.searchsorted(self.rows, np.arange(0, len(self.grid), _ROW_BLOCK))
+        for a, b in zip(starts, [*starts[1:], len(self.nodes)]):
+            self.gw[a:b] *= kernel.eval(self.grid[self.rows[a:b]], self.nodes[a:b])
+
+    def row_sums(self, values: np.ndarray) -> np.ndarray:
+        """sum_k gw_k values_k over each row: the row integrals of node values."""
+        return np.bincount(self.rows, weights=self.gw * values, minlength=len(self.grid))
+
+    def integrate(self, sigma) -> np.ndarray:
+        """int_0^1 G(t_i, s) sigma(s) ds for every t_i; sigma may be scalar-only.
+
+        A non-finite integrand raises QuadratureError naming the node.
+        """
+        sig = eval_on(sigma, self.nodes)
+        finite = np.isfinite(self.gw * sig)
+        if not np.all(finite):
+            bad = self.nodes[~finite][0]
+            raise QuadratureError(f"kernel row integrand non-finite at s={bad!r}", node=bad)
+        return self.row_sums(sig)
+
+    def sample(self, values: np.ndarray) -> np.ndarray:
+        """The cubic spline through (grid, values) at the nodes, clipped at zero."""
+        from scipy.interpolate import CubicSpline
+        return np.maximum(CubicSpline(self.grid, values)(self.nodes), 0.0)
+
+    def hat_projection(self, values: np.ndarray) -> np.ndarray:
+        """The matrix A[i, j] = sum over row i of gw_k values_k hat_j(node_k).
+
+        hat_j is the piecewise-linear hat function of point j of a uniform
+        grid.  With values = f_u at the nodes, A is the Jacobian of the row
+        sums with the spline sample replaced by linear interpolation.
+        """
+        n = len(self.grid)
+        w = self.gw * values
+        pos = self.nodes * (n - 1)
+        j = np.clip(np.floor(pos).astype(int), 0, n - 2)
+        frac = pos - j
+        A = np.zeros((n, n))
+        np.add.at(A, (self.rows, j), w * (1.0 - frac))
+        np.add.at(A, (self.rows, j + 1), w * frac)
+        return A
+
+
+def integrate_kernel_row(kernel, t: float, sigma, rule: QuadratureRule | None = None) -> float:
+    """int_0^1 G(t,s) sigma(s) ds on the row layout of rule.row_nodes_weights(t)."""
+    return float(KernelOperator(kernel, [float(t)], rule).integrate(sigma)[0])

@@ -260,7 +260,7 @@ def test_small_grid_refused_before_search(capsys, tmp_path, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the search ran")
 
-    monkeypatch.setattr("greenbvp.nonlinear._RowCache", no_search)
+    monkeypatch.setattr("greenbvp.nonlinear.KernelOperator", no_search)
     cfg = tmp_path / "g.cfg"
     cfg.write_text('gamma = 0\nlambda = 1\nf = "sqrt(u)"\ngrid_n = 5\n')
     code, _, err = run(capsys, "solve", str(cfg), "--output-dir", str(tmp_path / "o"))
@@ -282,7 +282,7 @@ def test_bad_config_value_refused_before_search(capsys, tmp_path, monkeypatch, l
     def no_search(*args, **kwargs):
         raise AssertionError("the search ran")
 
-    monkeypatch.setattr("greenbvp.nonlinear._RowCache", no_search)
+    monkeypatch.setattr("greenbvp.nonlinear.KernelOperator", no_search)
     cfg = tmp_path / "v.cfg"
     cfg.write_text(f'gamma = 0\nlambda = 1\nf = "sqrt(u)"\n{line}\n')
     code, _, err = run(capsys, "solve", str(cfg), "--output-dir", str(tmp_path / "o"))

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from greenbvp.errors import InputError, ResonanceError
+from greenbvp.kernel import GreenKernel
 from greenbvp.linear import integrate_uniform, solve_linear, verify_solution
 from greenbvp.params import ProblemParams
 from greenbvp.profile import SolutionProfile
+from greenbvp.quadrature import integrate_kernel_row
 
 
 def exact_lam1(t):
@@ -41,6 +43,23 @@ def test_solve_linear_validation():
         solve_linear(ProblemParams(0.0, 1.0), lambda s: s, grid_n=5)
     with pytest.raises(ResonanceError):
         solve_linear(ProblemParams(0.0, 2.0), lambda s: s, grid_n=51)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -4.0, 3.0])
+def test_solve_linear_matches_row_by_row_integrals(gamma):
+    p = ProblemParams(gamma, 0.9)
+    sigma = lambda s: 1.3 + np.sin(4.0 * s + 0.7)
+    prof = solve_linear(p, sigma, grid_n=301)
+    kernel = GreenKernel(p)
+    rows = np.array([integrate_kernel_row(kernel, t, sigma) for t in prof.grid])
+    assert np.max(np.abs(prof.values - rows)) <= 1e-14 * np.max(np.abs(rows))
+
+
+def test_solve_linear_scalar_only_sigma():
+    p = ProblemParams(-4.0, 1.0)
+    scalar = solve_linear(p, lambda s: math.cos(s), grid_n=21)
+    vector = solve_linear(p, np.cos, grid_n=21)
+    np.testing.assert_allclose(scalar.values, vector.values, rtol=0, atol=1e-15)
 
 
 def test_linearity():

@@ -7,11 +7,13 @@ import pytest
 from greenbvp.errors import SearchFailureError
 from greenbvp.expr import parse
 from greenbvp.fdsolve import solve_fd_newton
-from greenbvp.nonlinear import (NonlinearProblem, SolveConfig, apply_T,
+from greenbvp.kernel import GreenKernel
+from greenbvp.nonlinear import (NonlinearProblem, SolveConfig, _integral_newton, apply_T,
                                 cone_membership, growth_report, reflect_problem,
                                 solve_positive)
 from greenbvp.params import ProblemParams
 from greenbvp.profile import SolutionProfile
+from greenbvp.quadrature import KernelOperator
 
 P01 = ProblemParams(0.0, 1.0)
 
@@ -180,3 +182,27 @@ def test_apply_T_sqrt_smooth_across_rows():
     h = g[1] - g[0]
     assert np.max(np.abs(err)) <= 1e-12
     assert np.max(np.abs(err[:-2] - 2.0 * err[1:-1] + err[2:])) / h**2 <= 1e-6
+
+
+@pytest.mark.parametrize("gamma, f_src", [(0.0, "t*u^3 + exp(t*u) - 1"), (-4.0, "u^2")],
+                         ids=["criterion-7", "u^2-gamma-4"])
+def test_integral_newton_returns_to_fixed_point(gamma, f_src):
+    prob = NonlinearProblem(ProblemParams(gamma, 1.0), parse(f_src))
+    res = solve_positive(prob, SolveConfig(grid_n=201))
+    grid, u_star = res.profile.grid, res.profile.values
+    op = KernelOperator(GreenKernel(prob.params), grid)
+    u0 = u_star + 1e-2 * np.sin(math.pi * grid) * res.profile.norm_inf
+    u, rn, it = _integral_newton(op, prob._nl, u0, 1e-12)
+    assert rn < 1e-12 and it <= 8
+    assert np.max(np.abs(u - u_star)) < 1e-8
+
+    # the Jacobian is the hat-weight projection of gw * f_u onto the grid
+    fu = 2.0 + np.cos(3.0 * op.nodes)
+    n = len(grid)
+    pos = np.clip(op.nodes, 0.0, 1.0) * (n - 1)
+    j = np.clip(np.floor(pos).astype(int), 0, n - 2)
+    frac = pos - j
+    ref = np.zeros((n, n))
+    np.add.at(ref, (op.rows, j), op.gw * fu * (1.0 - frac))
+    np.add.at(ref, (op.rows, j + 1), op.gw * fu * frac)
+    assert op.hat_projection(fu).tobytes() == ref.tobytes()

@@ -7,7 +7,8 @@ import pytest
 from greenbvp.errors import InputError, QuadratureError
 from greenbvp.kernel import GreenKernel
 from greenbvp.params import ProblemParams
-from greenbvp.quadrature import QuadratureRule, integrate, integrate_kernel_row
+from greenbvp.quadrature import (KernelOperator, QuadratureRule, integrate,
+                                 integrate_kernel_row)
 
 
 def test_rule_invariants():
@@ -90,3 +91,30 @@ def test_row_layout_independent_of_t():
     assert abs(weights.sum() - 1.0) < 1e-14
     kept = base[(base < 0.25) | (base > 0.3125)]
     assert np.all(np.isin(kept, nodes))
+
+
+OP_GAMMAS = [0.0, -4.0, 3.0, -1e4, -1e6, (3 * math.pi) ** 2 + 1e-8]
+
+
+@pytest.mark.parametrize("gamma", OP_GAMMAS, ids=lambda g: f"{g:g}")
+def test_operator_weights_are_the_row_weights(gamma):
+    kernel = GreenKernel(ProblemParams(gamma, 0.5))
+    rule = QuadratureRule()
+    grid = np.linspace(0.0, 1.0, 301)  # three kernel blocks, the last one partial
+    op = KernelOperator(kernel, grid, rule)
+    start = 0
+    for i, t in enumerate(grid):
+        nodes, wt = rule.row_nodes_weights(float(t))
+        stop = start + len(nodes)
+        assert np.array_equal(op.rows[start:stop], np.full(len(nodes), i))
+        assert op.nodes[start:stop].tobytes() == nodes.tobytes()
+        assert op.gw[start:stop].tobytes() == (wt * kernel.eval(float(t), nodes)).tobytes()
+        start = stop
+    assert start == len(op.nodes) == len(op.gw) == len(op.rows)
+
+
+def test_operator_nonfinite_integrand_names_node():
+    op = KernelOperator(GreenKernel(ProblemParams(0.0, 1.0)), np.linspace(0.0, 1.0, 21))
+    with pytest.raises(QuadratureError) as exc:
+        op.integrate(lambda s: np.where(s < 0.5, 1.0, np.nan))
+    assert exc.value.node is not None and exc.value.node >= 0.5
