@@ -1,36 +1,43 @@
-"""Closed-form Green's functions for u'' + gamma*u + sigma = 0 with
+"""Closed-form Green's function for u'' + gamma*u + sigma = 0 with
 u(0) = 0 and u(1) = lam * int_0^1 u(s) ds.
 
-Three regimes share one structure.  Writing Gv for the Green's function of
-the two-point Dirichlet problem of the same equation and w for the solution
-of the homogeneous equation with w(0) = 0, w(1) = 1, the full kernel is
+Let S and C be the solutions of u'' + gamma*u = 0 with S(0) = 0, S'(0) = 1
+and C(0) = 1, C'(0) = 0:
 
-    G(t, s) = Gv(t, s) + lam * w(t) * J(s) / E,
+    S(x) = sin(mx)/m,  C(x) = cos(mx)    (gamma = m^2 > 0)
+    S(x) = sinh(mx)/m, C(x) = cosh(mx)   (gamma = -m^2 < 0)
+    S(x) = x,          C(x) = 1          (gamma = 0).
 
-where J collects the integral of the Dirichlet kernel column and E is the
-scalar whose vanishing marks resonance:
+Both are entire in gamma, and S' = C, C' = -gamma*S.  The Dirichlet kernel
+is Gv = S(min(t,s)) S(1-max(t,s))/S(1), the homogeneous solution with
+w(0) = 0, w(1) = 1 is w = S(t)/S(1), and by the half-angle identities
 
-    gamma = 0:      Gv = min(t,s)(1 - max(t,s)),      w = t,
-                    J = s(1-s),                        E = 2 - lam
-    gamma = m^2:    Gv = sin(m*min)sin(m(1-max))/(m sin m),
-                    w = sin(mt)/sin m,
-                    J = [sin(ms)+sin(m(1-s))-sin m]/m, E = m sin m - lam(1-cos m)
-    gamma = -m^2:   hyperbolic mirror of the above with
-                    E = m sinh m + lam(1 - cosh m).
+    int_0^1 Gv(tau, s) dtau = 2 S(s/2) S((1-s)/2)/C(1/2),
+    int_0^1 w = S(1/2)/C(1/2).
 
-Expanding these recovers the usual two-branch piecewise formulas; the
-combined form is continuous at t = s by construction and keeps every factor
-bounded (the hyperbolic helpers switch to exponential ratios for large m).
+The kernel Gv + lam w(t) int Gv(., s)/(1 - lam int w) is then one formula
+for every gamma,
 
-For gamma = (k*pi)^2 with k odd the trigonometric denominators cancel only
-analytically, so inside a small window |m - k*pi| < branch_eps the limit
-formulas are used instead; they require lam != 0.
+    G(t, s) = [S(min) S(1-max) + lam S(t) 2 S(s/2) S((1-s)/2)/E] / S(1),
+    E = C(1/2) - lam S(1/2),
 
-The resonant set, where no Green's function exists, is
+with dG/dt from S' = C.  It is continuous at t = s by construction, gamma =
+0 is its limit rather than a separate case, and no factor is a difference
+that cancels as s -> 0, s -> 1 or gamma -> 0 (Poschel & Trubowitz, Inverse
+Spectral Theory, 1987, ch. 1).  For gamma < 0, S and C are evaluated scaled
+by exp(-mx), and each term carries the one exponential left after the
+scales cancel, so no factor overflows for large m.
+
+E vanishes exactly on the resonance curve lam = C(1/2)/S(1/2), which is
 
     gamma = 0:  lam = 2
-    gamma > 0:  lam = m sin m/(1 - cos m) = m/tan(m/2),  plus every m = 2k*pi
-    gamma < 0:  lam = m sinh m/(cosh m - 1) = m/tanh(m/2).
+    gamma > 0:  lam = m/tan(m/2) = m sin m/(1 - cos m),  plus every m = 2k*pi
+    gamma < 0:  lam = m/tanh(m/2) = m sinh m/(cosh m - 1);
+
+at m = 2k*pi, sin(mt) solves the homogeneous problem for every lam.
+For m = k*pi with k odd, S(1) and the numerator vanish together, so inside
+the window |m - k*pi| < BRANCH_EPS the limit formulas are used instead;
+they require lam != 0.
 """
 from __future__ import annotations
 
@@ -58,9 +65,6 @@ RESONANCE_EPS = 1e-9
 BRANCH_EPS = 1e-6
 
 _TWO_PI = 2.0 * math.pi
-
-# Above this m the raw hyperbolic functions overflow; switch to exp ratios.
-_HYPER_DIRECT_MAX = 300.0
 
 
 def resonance_curve(gamma: float) -> float:
@@ -129,40 +133,42 @@ def check_resonance(params: ProblemParams, epsilon: float = RESONANCE_EPS) -> Re
     return ResonanceReport(resonant=resonant, branch=branch, k=kk, distance=dist)
 
 
-def _sinh_ratio(m: float, a):
-    """sinh(m*a)/sinh(m) for a in [0, 1], overflow-safe in m."""
-    a = np.asarray(a, dtype=float)
-    if m <= _HYPER_DIRECT_MAX:
-        return np.sinh(m * a) / math.sinh(m)
-    return np.exp(m * (a - 1.0)) * (-np.expm1(-2.0 * m * a)) / (-math.expm1(-2.0 * m))
+class _Basis:
+    """S and C of u'' + gamma*u = 0 (see the module docstring), scaled.
 
+    s(x) and c(x) hold the factors S(x) = exp(kx) s(x)/unit and C(x) =
+    exp(kx) c(x), with k = m for gamma < 0 and 0 otherwise, so a product or
+    ratio of factors needs one scale() by the exponential of its net
+    argument.  unit = max(m, 1) keeps s of order one for every m: below m = 1
+    it is S itself, and above it no factor carries a rounded 1/m.
+    """
 
-def _cosh_ratio(m: float, a):
-    """cosh(m*a)/sinh(m), overflow-safe in m."""
-    a = np.asarray(a, dtype=float)
-    if m <= _HYPER_DIRECT_MAX:
-        return np.cosh(m * a) / math.sinh(m)
-    return np.exp(m * (a - 1.0)) * (1.0 + np.exp(-2.0 * m * a)) / (-math.expm1(-2.0 * m))
+    def __init__(self, gamma: float):
+        self.regime, self.m = classify_gamma(gamma)
+        self.unit = max(self.m, 1.0)
+        self._div = min(self.m, 1.0)
 
+    def s(self, x):
+        m = self.m
+        if self.regime is Regime.POSITIVE:
+            return np.sin(m * x) / self._div
+        if self.regime is Regime.NEGATIVE:
+            return np.expm1(-2.0 * m * x) / (-2.0 * self._div)
+        return x
 
-def _pair_ss(m: float, a, b):
-    """sinh(m*a)*sinh(m*b)/sinh(m) for a + b <= 1, overflow-safe."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if m <= _HYPER_DIRECT_MAX:
-        return np.sinh(m * a) * np.sinh(m * b) / math.sinh(m)
-    num = np.exp(m * (a + b - 1.0)) * (-np.expm1(-2.0 * m * a)) * (-np.expm1(-2.0 * m * b))
-    return num / (2.0 * (-math.expm1(-2.0 * m)))
+    def c(self, x):
+        m = self.m
+        if self.regime is Regime.POSITIVE:
+            return np.cos(m * x)
+        if self.regime is Regime.NEGATIVE:
+            return 0.5 * (1.0 + np.exp(-2.0 * m * x))
+        return 1.0
 
-
-def _pair_sc(m: float, a, b):
-    """sinh(m*a)*cosh(m*b)/sinh(m) for a + b <= 1, overflow-safe."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if m <= _HYPER_DIRECT_MAX:
-        return np.sinh(m * a) * np.cosh(m * b) / math.sinh(m)
-    num = np.exp(m * (a + b - 1.0)) * (-np.expm1(-2.0 * m * a)) * (1.0 + np.exp(-2.0 * m * b))
-    return num / (2.0 * (-math.expm1(-2.0 * m)))
+    def scale(self, value, lo, hi):
+        """value * exp(k (lo - hi)): value with its scaled factors restored."""
+        if self.regime is Regime.NEGATIVE:
+            return value * np.exp(self.m * (lo - hi))
+        return value
 
 
 class GreenKernel:
@@ -173,9 +179,8 @@ class GreenKernel:
     evaluation methods are pure and accept scalars or broadcastable arrays.
     """
 
-    def __init__(self, params: ProblemParams, resonance_eps: float = RESONANCE_EPS,
-                 branch_eps: float = BRANCH_EPS):
-        report = check_resonance(params, resonance_eps)
+    def __init__(self, params: ProblemParams):
+        report = check_resonance(params)
         if report.resonant:
             raise ResonanceError(
                 f"parameters gamma={params.gamma}, lambda={params.lam} are resonant "
@@ -183,33 +188,29 @@ class GreenKernel:
                 report=report,
             )
         self.params = params
-        self.resonance_eps = float(resonance_eps)
-        self.branch_eps = float(branch_eps)
-        regime, m = classify_gamma(params.gamma)
-        self.regime = regime
-        self.m = m
+        self._basis = b = _Basis(params.gamma)
+        self.regime, self.m = b.regime, b.m
         lam = params.lam
+        # in the scaled factors, G = [gv + rank_one] / (unit s(1)) with
+        # rank_one = lam s(t) 2 s(s/2) s((1-s)/2)/E, the 2 taken into E/2.
+        # At gamma = 0 the factors are their arguments and the constants are
+        # powers of two, so G rounds exactly as min(t,s)(1 - max(t,s)) +
+        # lam t s (1-s)/(2 - lam) does
+        self._s1 = b.s(1.0)
+        self._norm = b.unit * self._s1
+        self._half_E = 0.5 * (b.unit * b.c(0.5) - lam * b.s(0.5))
 
         self._degenerate_k = None
-        if regime is Regime.ZERO:
-            self._E = 2.0 - lam
-        elif regime is Regime.POSITIVE:
-            k = int(round(m / math.pi))
-            if k >= 1 and k % 2 == 1 and abs(m - k * math.pi) < branch_eps:
-                if abs(lam) < 1e-6:
-                    raise ResonanceError(
-                        f"gamma={params.gamma} lies in the degenerate m=k*pi window "
-                        f"and lambda={lam} is too close to the resonant value 0 there",
-                        report=ResonanceReport(True, "lambda_curve", None, abs(lam)),
-                    )
-                self._degenerate_k = k
-            self._sm = math.sin(m)
-            self._cm = math.cos(m)
-            self._E = m * self._sm - lam * (1.0 - self._cm)
-        else:
-            # q = lam/Delta(gamma); E = m^2 (1 - q) = m * Dbar / sinh m
-            self._q = lam * math.tanh(0.5 * m) / m
-            self._E = m * m * (1.0 - self._q)
+        k = int(round(self.m / math.pi))
+        if (self.regime is Regime.POSITIVE and k % 2 == 1
+                and abs(self.m - k * math.pi) < BRANCH_EPS):
+            if abs(lam) < 1e-6:
+                raise ResonanceError(
+                    f"gamma={params.gamma} lies in the degenerate m=k*pi window "
+                    f"and lambda={lam} is too close to the resonant value 0 there",
+                    report=ResonanceReport(True, "lambda_curve", None, abs(lam)),
+                )
+            self._degenerate_k = k
 
     # -- evaluation ------------------------------------------------------
 
@@ -241,27 +242,15 @@ class GreenKernel:
         return out
 
     def _eval_arrays(self, t, s):
-        lam = self.params.lam
-        m = self.m
-        mn = np.minimum(t, s)
-        mx = np.maximum(t, s)
-
         if self._degenerate_k is not None:
             return self._eval_degenerate(t, s)
-
-        if self.regime is Regime.ZERO:
-            gv = mn * (1.0 - mx)
-            return gv + lam * t * s * (1.0 - s) / self._E
-
-        if self.regime is Regime.POSITIVE:
-            sm = self._sm
-            gv = np.sin(m * mn) * np.sin(m * (1.0 - mx)) / (m * sm)
-            r = np.sin(m * s) + np.sin(m * (1.0 - s)) - sm
-            return gv + lam * np.sin(m * t) * r / (sm * m * self._E)
-
-        gv = _pair_ss(m, mn, 1.0 - mx) / m
-        b = 1.0 - _sinh_ratio(m, s) - _sinh_ratio(m, 1.0 - s)
-        return gv + lam * _sinh_ratio(m, t) * b / self._E
+        b = self._basis
+        mn = np.minimum(t, s)
+        mx = np.maximum(t, s)
+        gv = b.scale(b.s(mn) * b.s(1.0 - mx), mn, mx)
+        rank_one = (self.params.lam * b.s(t) * b.s(0.5 * s) * b.s(0.5 * (1.0 - s))
+                    / self._half_E)
+        return (gv + b.scale(rank_one, t, 1.0)) / self._norm
 
     def _eval_degenerate(self, t, s):
         k = self._degenerate_k
@@ -275,7 +264,6 @@ class GreenKernel:
 
     def _dt_arrays(self, t, s, side):
         lam = self.params.lam
-        m = self.m
         if side == "right":
             upper = s <= t     # branch with s below the diagonal is active
         else:
@@ -290,20 +278,8 @@ class GreenKernel:
             d2 = ct * (lam * (1.0 + cs) - w * ss) / (2.0 * lam)
             return np.where(upper, d1, d2)
 
-        if self.regime is Regime.ZERO:
-            dgv = np.where(upper, -s, 1.0 - s)
-            return dgv + lam * s * (1.0 - s) / self._E
-
-        if self.regime is Regime.POSITIVE:
-            sm = self._sm
-            dgv = np.where(
-                upper,
-                -np.sin(m * s) * np.cos(m * (1.0 - t)) / sm,
-                np.cos(m * t) * np.sin(m * (1.0 - s)) / sm,
-            )
-            r = np.sin(m * s) + np.sin(m * (1.0 - s)) - sm
-            return dgv + lam * np.cos(m * t) * r / (sm * self._E)
-
-        dgv = np.where(upper, -_pair_sc(m, s, 1.0 - t), _pair_sc(m, 1.0 - s, t))
-        b = 1.0 - _sinh_ratio(m, s) - _sinh_ratio(m, 1.0 - s)
-        return dgv + lam * m * _cosh_ratio(m, t) * b / self._E
+        b = self._basis
+        dgv = np.where(upper, -b.s(s) * b.c(1.0 - t), b.c(t) * b.s(1.0 - s))
+        rank_one = lam * b.c(t) * b.s(0.5 * s) * b.s(0.5 * (1.0 - s)) / self._half_E
+        return (b.scale(dgv, np.minimum(t, s), np.maximum(t, s))
+                + b.scale(rank_one, t, 1.0)) / self._s1

@@ -364,9 +364,13 @@ def _integral_newton(op: KernelOperator, nl: _Nonlinearity, u0, tol, max_iter=15
     """Newton on the collocated integral equation u = T u (hat-weight Jacobian)."""
     u = np.maximum(np.asarray(u0, dtype=float), 0.0)
     it = 0
-    T = lambda vec: _apply(op, nl, vec)
+
+    def T(vec):  # T vec, and the node sample of vec that the Jacobian reuses
+        at = op.sample(vec)
+        return op.row_sums(nl.eval(op.nodes, at)), at
+
     try:
-        Tu = T(u)
+        Tu, u_at = T(u)
     except (ExprDomainError, QuadratureError):
         return u, math.inf, 0
     for it in range(1, max_iter + 1):
@@ -374,7 +378,6 @@ def _integral_newton(op: KernelOperator, nl: _Nonlinearity, u0, tol, max_iter=15
         rn = float(np.max(np.abs(R)))
         if rn < tol:
             return u, rn, it
-        u_at = op.sample(u)
         step = 1e-7 * np.maximum(1.0, np.abs(u_at))
         lo = np.maximum(u_at - step, 0.0)
         try:
@@ -386,18 +389,18 @@ def _integral_newton(op: KernelOperator, nl: _Nonlinearity, u0, tol, max_iter=15
         for _ in range(12):
             trial = np.maximum(u + alpha * d, 0.0)
             try:
-                Tt = T(trial)
+                Tt, at = T(trial)
             except (ExprDomainError, QuadratureError):
                 alpha *= 0.5
                 continue
             if np.all(np.isfinite(Tt)) and np.max(np.abs(trial - Tt)) < rn:
-                u, Tu = trial, Tt
+                u, Tu, u_at = trial, Tt, at
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             return u, rn, it
-    return u, float(np.max(np.abs(u - T(u)))), it
+    return u, float(np.max(np.abs(u - Tu))), it
 
 
 def solve_positive(problem: NonlinearProblem, config: SolveConfig | None = None) -> SolveResult:

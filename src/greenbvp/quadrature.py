@@ -192,10 +192,10 @@ class KernelOperator:
         pos = self.nodes * (n - 1)
         j = np.clip(np.floor(pos).astype(int), 0, n - 2)
         frac = pos - j
-        A = np.zeros((n, n))
-        np.add.at(A, (self.rows, j), w * (1.0 - frac))
-        np.add.at(A, (self.rows, j + 1), w * frac)
-        return A
+        flat = self.rows * n + j
+        A = np.bincount(np.concatenate([flat, flat + 1]),
+                        weights=np.concatenate([w * (1.0 - frac), w * frac]), minlength=n * n)
+        return A.reshape(n, n)
 
 
 def integrate_kernel_row(kernel, t: float, sigma, rule: QuadratureRule | None = None) -> float:

@@ -6,10 +6,11 @@ The positivity frontier is
                  = 2                          (gamma = 0)
                  = m sin(m)/(1 - cos(m))      (gamma = m^2 > 0)
 
-computed here through the equivalent half-angle ratios m/tanh(m/2) and
-m/tan(m/2).  The kernel is positive on (0,1)^2 exactly for 0 <= lam <
-Delta(gamma), with the trigonometric case certified only for m <= pi;
-beyond that the classification falls back to a grid scan and says so.
+which is the resonance curve lam = C(1/2)/S(1/2) of kernel.py, computed
+through the half-angle ratios m/tanh(m/2) and m/tan(m/2).  The kernel is
+positive on (0,1)^2 exactly for 0 <= lam < Delta(gamma), with the
+trigonometric case certified only for m <= pi; beyond that the
+classification falls back to a grid scan and says so.
 
 For a positive kernel with 0 < lam < Delta and gamma < pi^2 the two-sided
 bound
@@ -17,9 +18,10 @@ bound
     h(t) * G(1, s) <= G(t, s) <= C * G(1, s)
 
 is produced by bound_constants in closed form.  With q = (Delta - lam)/lam,
-w(x) = sin(mx)/sin m (sinh(mx)/sinh m for gamma < 0) and c = cos (cosh for
-gamma < 0), the ratio G(t,s)/G(1,s) at fixed t rises on (0,t) and falls on
-(t,1): its s-derivative has the sign of c(m/2) > 0.  Hence
+w(x) = S(x)/S(1) for the S of kernel.py (sin(mx)/sin m, sinh(mx)/sinh m
+for gamma < 0) and c = cos (cosh for gamma < 0), the ratio G(t,s)/G(1,s)
+at fixed t rises on (0,t) and falls on (t,1): its s-derivative has the
+sign of c(m/2) > 0.  Hence
 
     h(t) = min(lim_{s->0} ratio, lim_{s->1} ratio)
          = min(w(1-t) q + w(t), w(t) Delta/lam),
@@ -31,9 +33,11 @@ and C is the maximum over x of the diagonal ratio
 which runs from D(0) = q to D(1) = Delta/lam.  For gamma < 0, D is convex,
 so C = Delta/lam.  For gamma > 0, D = A sin(mx) + B cos(mx) + B with
 A = 1/sin m + B tan(m/2) and B = q/2, whose maximum on [0,1] lies at
-x = atan2(A, B)/m or, past it, at x = 1.  For gamma = 0 the exact forms
-h(t) = t, C = 2/lam are used.  C is inflated by one part in 1e9 against
-rounding.
+x = atan2(A, B)/m or, past it, at x = 1.  These forms hold for every
+nonzero gamma, however small, since S and C have no cancelling differences.
+At gamma = 0 itself the exact forms h(t) = t, C = 2/lam are used; t lies
+below the limit of h(t) as gamma -> 0.  C is inflated by one part in 1e9
+against rounding.
 """
 from __future__ import annotations
 
@@ -43,16 +47,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClassificationError, DegenerateConeError, DomainError, InputError
-from .kernel import GreenKernel, _sinh_ratio, check_resonance, resonance_curve
+from .kernel import GreenKernel, _Basis, check_resonance, resonance_curve
 from .params import ProblemParams, Regime
 
 __all__ = ["delta", "SignClass", "classify_sign", "ConeSpec", "bound_constants",
            "max_kernel_bound"]
 
 PI_SQ = math.pi ** 2
-
-# |gamma| at or below this is routed to the exact gamma = 0 closed forms.
-GAMMA_ZERO_TOL = 1e-8
 
 
 def delta(gamma: float) -> float:
@@ -62,12 +63,7 @@ def delta(gamma: float) -> float:
         raise InputError(f"gamma must be finite, got {gamma!r}")
     if gamma >= PI_SQ:
         raise DomainError(f"Delta(gamma) requires gamma < pi^2, got {gamma}")
-    if gamma == 0.0:
-        return 2.0
-    m = math.sqrt(abs(gamma))
-    if gamma < 0.0:
-        return m / math.tanh(0.5 * m)
-    return m / math.tan(0.5 * m)
+    return resonance_curve(gamma)
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ def classify_sign(params: ProblemParams, grid_n: int = 201) -> SignClass:
     lam = params.lam
     boundary = lam == 0.0
     if params.gamma <= PI_SQ:
-        frontier = 2.0 if params.gamma == 0.0 else resonance_curve(params.gamma)
+        frontier = resonance_curve(params.gamma)
         if params.gamma == PI_SQ:
             frontier = 0.0
         kind = "positive" if (0.0 <= lam < frontier) else "changes_sign"
@@ -159,7 +155,7 @@ class ConeSpec:
 
 def max_kernel_bound(params: ProblemParams) -> float:
     """Uniform bound G <= 1/(2(2-lam)) valid for gamma = 0, lam in [0,2)."""
-    if params.gamma != 0.0:
+    if params.regime is not Regime.ZERO:
         raise DomainError("max_kernel_bound applies to the gamma = 0 kernel only")
     if not (0.0 <= params.lam < 2.0):
         raise DomainError(f"max_kernel_bound requires lambda in [0,2), got {params.lam}")
@@ -167,11 +163,10 @@ def max_kernel_bound(params: ProblemParams) -> float:
 
 
 def _w(gamma: float, x):
-    """Scaled homogeneous solution, sin(mx)/sin m or sinh(mx)/sinh m."""
-    m = math.sqrt(abs(gamma))
-    if gamma > 0.0:
-        return np.sin(m * np.asarray(x, dtype=float)) / math.sin(m)
-    return _sinh_ratio(m, x)
+    """The homogeneous solution S(x)/S(1), with value 1 at x = 1."""
+    b = _Basis(gamma)
+    x = np.asarray(x, dtype=float)
+    return b.scale(b.s(x) / b.s(1.0), x, 1.0)
 
 
 def bound_constants(params: ProblemParams) -> ConeSpec:
@@ -203,7 +198,7 @@ def bound_constants(params: ProblemParams) -> ConeSpec:
     if params.lam == 0.0:
         raise DegenerateConeError("lambda = 0 makes G(1,s) identically zero; no cone constants")
 
-    if abs(params.gamma) <= GAMMA_ZERO_TOL:
+    if params.regime is Regime.ZERO:
         return ConeSpec(
             gamma=params.gamma, lam=params.lam, regime=Regime.ZERO.value,
             constant=2.0 / params.lam, exact=True)

@@ -1,6 +1,7 @@
 """Kernel evaluation: literal-formula oracle, examples, jump, invariants."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,8 @@ from greenbvp.quadrature import QuadratureRule, integrate
 
 
 # -- literal two-branch formulas, used as an independent oracle ------------
+# lib supplies sin and cos (sinh and cosh): numpy, or mpmath for an exact
+# reference
 
 def literal_zero(lam, t, s):
     e = 2.0 - lam
@@ -19,25 +22,27 @@ def literal_zero(lam, t, s):
     return np.where(s <= t, g1, g2)
 
 
-def literal_pos(m, lam, t, s):
-    sm, cm = math.sin(m), math.cos(m)
+def literal_pos(m, lam, t, s, lib=np):
+    sin = lib.sin
+    sm, cm = sin(m), lib.cos(m)
     d = m * sm - lam * (1 - cm)
     den = m * sm * d
-    g1 = (np.sin(m * s) * (np.sin(m - m * t) * d + lam * np.sin(m * t))
-          + lam * np.sin(m * t) * (np.sin(m - m * s) - sm)) / den
-    g2 = np.sin(m * t) * (np.sin(m - m * s) * (m * sm + lam * cm)
-                          + lam * (np.sin(m * s) - sm)) / den
+    g1 = (sin(m * s) * (sin(m - m * t) * d + lam * sin(m * t))
+          + lam * sin(m * t) * (sin(m - m * s) - sm)) / den
+    g2 = sin(m * t) * (sin(m - m * s) * (m * sm + lam * cm)
+                       + lam * (sin(m * s) - sm)) / den
     return np.where(s <= t, g1, g2)
 
 
-def literal_neg(m, lam, t, s):
-    sh, ch = math.sinh(m), math.cosh(m)
+def literal_neg(m, lam, t, s, lib=np):
+    sinh = lib.sinh
+    sh, ch = sinh(m), lib.cosh(m)
     db = m * sh + lam * (1 - ch)
     den = m * sh * db
-    g1 = (np.sinh(m * s) * (np.sinh(m - m * t) * db - lam * np.sinh(m * t))
-          - lam * np.sinh(m * t) * (np.sinh(m - m * s) - sh)) / den
-    g2 = np.sinh(m * t) * (np.sinh(m - m * s) * (m * sh - lam * ch)
-                           - lam * (np.sinh(m * s) - sh)) / den
+    g1 = (sinh(m * s) * (sinh(m - m * t) * db - lam * sinh(m * t))
+          - lam * sinh(m * t) * (sinh(m - m * s) - sh)) / den
+    g2 = sinh(m * t) * (sinh(m - m * s) * (m * sh - lam * ch)
+                        - lam * (sinh(m * s) - sh)) / den
     return np.where(s <= t, g1, g2)
 
 
@@ -111,6 +116,40 @@ def test_matches_literal_formulas():
         k = GreenKernel(ProblemParams(gamma, lam))
         m = math.sqrt(-gamma)
         assert np.max(np.abs(k.eval(t, s) - literal_neg(m, lam, t, s))) < 1e-12
+
+
+def test_gamma_zero_bytes_pinned():
+    # the gamma = 0 kernel is the product min(t,s)(1 - max(t,s)) plus
+    # lam t s (1-s)/(2 - lam), rounded in exactly this order
+    rng = np.random.default_rng(21)
+    t = rng.uniform(0, 1, 100_000)
+    s = rng.uniform(0, 1, 100_000)
+    for lam in [0.8, 1.0, 1.2, 1.9]:
+        want = np.minimum(t, s) * (1 - np.maximum(t, s)) + lam * t * s * (1 - s) / (2 - lam)
+        assert np.array_equal(GreenKernel(ProblemParams(0.0, lam)).eval(t, s), want)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_tiny_gamma_tends_to_gamma_zero(sign):
+    x = np.linspace(0, 1, 51)
+    tt, ss = np.meshgrid(x, x)
+    g0 = GreenKernel(ProblemParams(0.0, 1.0)).eval(tt, ss)
+    for size in [1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4]:
+        g = GreenKernel(ProblemParams(sign * size, 1.0)).eval(tt, ss)
+        assert np.max(np.abs(g - g0)) <= 10 * size + 1e-15, size
+
+
+@pytest.mark.parametrize("gamma", [0.02, -0.02, 1e-5, -1e-5])
+def test_relative_accuracy_next_to_the_ends(gamma):
+    # G(t, s) = O(s) and O(1 - s) at the ends, which no term may cancel to
+    literal = literal_pos if gamma > 0 else literal_neg
+    k = GreenKernel(ProblemParams(gamma, 1.0))
+    with mpmath.workdps(50):
+        m = mpmath.sqrt(abs(mpmath.mpf(gamma)))
+        for s in [1e-7, 1 - 1e-7]:
+            for t in [1e-7, 0.3, 0.5, 1 - 1e-7, 1.0]:
+                want = literal(m, 1, mpmath.mpf(t), mpmath.mpf(s), lib=mpmath)[()]
+                assert abs(k.eval(t, s) - want) <= 1e-14 * abs(want), (t, s)
 
 
 def test_resonance_refusal():
