@@ -8,7 +8,7 @@ collapsing runs fall back to damped Newton on the finite-difference
 collocation system, whose output is polished back to a fixed point of the
 quadrature-accurate operator (Anderson again, then a Newton iteration on
 the discretized integral equation when the fixed point is Picard-unstable).
-The trivial fixed point u = 0 is rejected by a minimum-norm threshold, and
+Where f(t, 0) vanishes, u = 0 is rejected by a minimum-norm threshold, and
 because the superlinear basins are narrow the amplitude ladder is refined
 by log-bisection wherever neighbouring starts land on different outcomes.
 
@@ -55,8 +55,10 @@ class _Nonlinearity:
         with np.errstate(over="ignore", invalid="ignore"):
             out = np.asarray(self.raw(t, u_eff), dtype=float)
         if not np.all(np.isfinite(out)):
-            bad = np.argwhere(~np.isfinite(np.atleast_1d(out)))
-            raise ExprDomainError(f"nonlinearity returned a non-finite value (index {bad[0]})")
+            tb, ub, ob = np.broadcast_arrays(t, u_eff, out)
+            k = np.flatnonzero(~np.isfinite(ob))[0]
+            raise ExprDomainError(f"nonlinearity returned a non-finite value at "
+                                  f"t={float(tb.flat[k])!r}, u={float(ub.flat[k])!r}")
         return out
 
     def ratio_or_inf(self, t, u_scalar):
@@ -137,7 +139,7 @@ def reflect_problem(problem: NonlinearProblem) -> NonlinearProblem:
 
 def _apply(op: KernelOperator, nl: _Nonlinearity, u_vec: np.ndarray) -> np.ndarray:
     """T on grid values: the row sums of f(s, u(s)), u the spline through u_vec."""
-    return op.row_sums(nl.eval(op.nodes, op.sample(u_vec)))
+    return op.row_sums(nl.eval(op.points, op.sample(u_vec))[op.index])
 
 
 def apply_T(problem: NonlinearProblem, u: SolutionProfile, grid_n: int | None = None,
@@ -365,9 +367,9 @@ def _integral_newton(op: KernelOperator, nl: _Nonlinearity, u0, tol, max_iter=15
     u = np.maximum(np.asarray(u0, dtype=float), 0.0)
     it = 0
 
-    def T(vec):  # T vec, and the node sample of vec that the Jacobian reuses
+    def T(vec):  # T vec, and the point sample of vec that the Jacobian reuses
         at = op.sample(vec)
-        return op.row_sums(nl.eval(op.nodes, at)), at
+        return op.row_sums(nl.eval(op.points, at)[op.index]), at
 
     try:
         Tu, u_at = T(u)
@@ -381,8 +383,8 @@ def _integral_newton(op: KernelOperator, nl: _Nonlinearity, u0, tol, max_iter=15
         step = 1e-7 * np.maximum(1.0, np.abs(u_at))
         lo = np.maximum(u_at - step, 0.0)
         try:
-            fu = (nl.eval(op.nodes, u_at + step) - nl.eval(op.nodes, lo)) / (u_at + step - lo)
-            d = np.linalg.solve(np.eye(len(u)) - op.hat_projection(fu), -R)
+            fu = (nl.eval(op.points, u_at + step) - nl.eval(op.points, lo)) / (u_at + step - lo)
+            d = np.linalg.solve(np.eye(len(u)) - op.hat_projection(fu[op.index]), -R)
         except (ExprDomainError, QuadratureError, np.linalg.LinAlgError):
             return u, rn, it
         alpha, accepted = 1.0, False
@@ -454,6 +456,12 @@ def solve_positive(problem: NonlinearProblem, config: SolveConfig | None = None)
     op = KernelOperator(kernel, grid, cfg.rule)
     nl = problem._nl
     T = lambda vec: _apply(op, nl, vec)
+    # min_norm applies only where u = 0 can be a fixed point: f(t, 0) = 0
+    try:
+        zero_fixed = not np.any(nl.eval(grid, np.zeros_like(grid)))
+    except ExprDomainError:
+        zero_fixed = True
+    min_norm = cfg.min_norm if zero_fixed else 0.0
     iterations = 0
     best_residual = math.inf
 
@@ -468,7 +476,7 @@ def solve_positive(problem: NonlinearProblem, config: SolveConfig | None = None)
         if not np.all(np.isfinite(values)) or gap >= cfg.tol:
             return None
         profile = SolutionProfile(grid, values)
-        if profile.norm_inf < cfg.min_norm:
+        if profile.norm_inf < min_norm:
             return None
         positive = bool(np.all(profile.values[1:-1] > 0.0))
         sigma = lambda tv: nl.eval(tv, np.maximum(profile(tv), 0.0))
@@ -484,7 +492,7 @@ def solve_positive(problem: NonlinearProblem, config: SolveConfig | None = None)
     def polish(u_vec) -> SolveResult | None:
         nonlocal iterations
         u, status, it = _anderson_iterate(T, u_vec, cfg.tol * 0.5, 80,
-                                          cfg.anderson_depth, cfg.min_norm)
+                                          cfg.anderson_depth, min_norm)
         iterations += it
         if status == "converged":
             out = finalize(u)
@@ -510,7 +518,7 @@ def solve_positive(problem: NonlinearProblem, config: SolveConfig | None = None)
         except (SearchFailureError, ResonanceError, ExprDomainError):
             return "fail", None
         iterations += 1
-        if prof.norm_inf < cfg.min_norm:
+        if prof.norm_inf < min_norm:
             return "trivial", None
         return "solution", prof(grid)
 
@@ -519,14 +527,14 @@ def solve_positive(problem: NonlinearProblem, config: SolveConfig | None = None)
     for c in cfg.init_amplitudes:
         u0 = float(c) * grid
         u, status, it = _anderson_iterate(T, u0, cfg.tol, cfg.max_iter,
-                                          cfg.anderson_depth, cfg.min_norm)
+                                          cfg.anderson_depth, min_norm)
         iterations += it
         if status == "converged":
             out = finalize(u)
             if out is not None:
                 return out
         nrm = float(np.max(np.abs(u)))
-        if status in ("stagnated", "maxiter") and cfg.min_norm <= nrm <= 1e4:
+        if status in ("stagnated", "maxiter") and min_norm <= nrm <= 1e4:
             fallback_seeds.append(u)
 
     # stage 2: damped Newton on the fd collocation, seeded by the Picard

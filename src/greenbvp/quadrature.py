@@ -10,7 +10,8 @@ the same for every row apart from the cut at s = t.
 
 One KernelOperator holds these rows for a whole grid.  It serves the
 linear solve, the fixed-point operator T of the nonlinear solver and the
-Jacobian of its Newton iteration.
+Jacobian of its Newton iteration.  As the rows share their layout, it
+evaluates integrands once per distinct node and gathers them to the rows.
 """
 from __future__ import annotations
 
@@ -147,6 +148,11 @@ class KernelOperator:
     Row i uses the nodes and weights of rule.row_nodes_weights(t_i), the
     weights multiplied by G(t_i, node).  Rows differ in length, so the nodes
     of all rows are stored flat, with rows[k] the grid index of node k.
+
+    Rows share one panel layout and differ only in the panel cut at t_i:
+    points holds the layout's nodes, then each cut row's two half panels,
+    and points[index] == nodes byte for byte, since a panel that a row does
+    not cut has the same edges, and so the same nodes, in every row.
     """
 
     def __init__(self, kernel, grid, rule: QuadratureRule | None = None):
@@ -158,6 +164,21 @@ class KernelOperator:
         starts = np.searchsorted(self.rows, np.arange(0, len(self.grid), _ROW_BLOCK))
         for a, b in zip(starts, [*starts[1:], len(self.nodes)]):
             self.gw[a:b] *= kernel.eval(self.grid[self.rows[a:b]], self.nodes[a:b])
+        k, edges = rule.nodes_per_panel, rule._row_edges
+        shared = _gauss_panels(edges, k)[0]
+        n0 = len(shared)
+        lengths = np.bincount(self.rows, minlength=len(self.grid))
+        cut = lengths > n0
+        # a cut row runs through shared points, its own half panels, shared points
+        lo = np.where(cut, k * (np.searchsorted(edges, self.grid) - 1), n0)
+        self.points = np.concatenate(
+            [shared] + [x[a:a + 2 * k] for x, a, c in zip(nodes, lo, cut) if c])
+        del nodes, weights
+        runs = np.c_[lo, 2 * k * cut, n0 - lo - k * cut]
+        start = np.cumsum(lengths) - lengths
+        shifts = np.c_[-start, n0 + 2 * k * (np.cumsum(cut) - 1) - lo - start, -k - start]
+        self.index = np.repeat(shifts.ravel(), runs.ravel())
+        self.index += np.arange(len(self.index))
 
     def row_sums(self, values: np.ndarray) -> np.ndarray:
         """sum_k gw_k values_k over each row: the row integrals of node values."""
@@ -168,7 +189,7 @@ class KernelOperator:
 
         A non-finite integrand raises QuadratureError naming the node.
         """
-        sig = eval_on(sigma, self.nodes)
+        sig = eval_on(sigma, self.points)[self.index]
         finite = np.isfinite(self.gw * sig)
         if not np.all(finite):
             bad = self.nodes[~finite][0]
@@ -176,9 +197,9 @@ class KernelOperator:
         return self.row_sums(sig)
 
     def sample(self, values: np.ndarray) -> np.ndarray:
-        """The cubic spline through (grid, values) at the nodes, clipped at zero."""
+        """The cubic spline through (grid, values) at the points, clipped at zero."""
         from scipy.interpolate import CubicSpline
-        return np.maximum(CubicSpline(self.grid, values)(self.nodes), 0.0)
+        return np.maximum(CubicSpline(self.grid, values)(self.points), 0.0)
 
     def hat_projection(self, values: np.ndarray) -> np.ndarray:
         """The matrix A[i, j] = sum over row i of gw_k values_k hat_j(node_k).

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from greenbvp.errors import SearchFailureError
+from greenbvp.errors import ExprDomainError, SearchFailureError
 from greenbvp.expr import parse
 from greenbvp.fdsolve import solve_fd_newton
 from greenbvp.kernel import GreenKernel
-from greenbvp.nonlinear import (NonlinearProblem, SolveConfig, _integral_newton, apply_T,
-                                cone_membership, growth_report, reflect_problem,
+from greenbvp.nonlinear import (NonlinearProblem, SolveConfig, _apply, _integral_newton,
+                                apply_T, cone_membership, growth_report, reflect_problem,
                                 solve_positive)
 from greenbvp.params import ProblemParams
 from greenbvp.profile import SolutionProfile
@@ -137,6 +137,30 @@ def test_solve_positive_trivial_only():
         solve_positive(NonlinearProblem(P01, parse("0")), SolveConfig(grid_n=101))
 
 
+def test_solve_positive_tiny_solution_when_zero_is_no_fixed_point():
+    # f(t, 0) = 1e-5 is never zero, so u = 0 is no fixed point and min_norm
+    # (1e-4 by default) does not apply.  u'' + m^2 (1 + u) = 0, u(0) = 0 gives
+    # u = cos(mt) - 1 + B sin(mt), and u(1) = lam * int u fixes B.
+    lam, m = 1.0, math.sqrt(1e-5)
+    res = solve_positive(NonlinearProblem(ProblemParams(0.0, lam), parse("1e-5*(1 + u)")),
+                         SolveConfig(grid_n=1001))
+    B = ((lam * (math.sin(m) / m - 1.0) - math.cos(m) + 1.0)
+         / (math.sin(m) - lam * (1.0 - math.cos(m)) / m))
+    g = res.profile.grid
+    want = np.cos(m * g) - 1.0 + B * np.sin(m * g)
+    assert res.passed and res.profile.norm_inf < 0.1 * SolveConfig().min_norm
+    assert np.max(np.abs(res.profile.values - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+def test_callable_non_finite_value_names_t_and_u():
+    prob = NonlinearProblem(P01, lambda t, u: np.where(u > 0.25, np.nan, u))
+    with pytest.raises(ExprDomainError, match=r"at t=0\.5, u=0\.5$"):
+        prob.f_eval(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
+    # t and u broadcast against each other: a column of t by a row of u
+    with pytest.raises(ExprDomainError, match=r"at t=0\.0, u=0\.3$"):
+        prob.f_eval(np.array([[0.0], [0.5]]), np.array([[0.1, 0.3]]))
+
+
 def test_solve_positive_outside_theorem_flag():
     # lam = 0 sits outside 0 < lam < Delta but the Dirichlet problem still
     # has the positive solution of u'' + 1 = 0
@@ -206,3 +230,18 @@ def test_integral_newton_returns_to_fixed_point(gamma, f_src):
     np.add.at(ref, (op.rows, j), op.gw * fu * (1.0 - frac))
     np.add.at(ref, (op.rows, j + 1), op.gw * fu * frac)
     assert op.hat_projection(fu).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("gamma, f_src", [(0.0, "t*u^3 + exp(t*u) - 1"), (0.0, "sqrt(u)"),
+                                          (-4.0, "u^2")])
+def test_apply_evaluates_f_once_per_point(gamma, f_src):
+    # f and the spline are evaluated on the distinct points and gathered to
+    # the row nodes; the result is the flat per-node formula, byte for byte
+    from scipy.interpolate import CubicSpline
+
+    prob = NonlinearProblem(ProblemParams(gamma, 1.0), parse(f_src))
+    grid = np.linspace(0.0, 1.0, 201)
+    op = KernelOperator(GreenKernel(prob.params), grid)
+    u = 2.0 * grid * (1.0 - 0.5 * grid) + 0.1 * np.sin(7.0 * grid)
+    flat = op.row_sums(prob._nl.eval(op.nodes, np.maximum(CubicSpline(grid, u)(op.nodes), 0)))
+    assert _apply(op, prob._nl, u).tobytes() == flat.tobytes()

@@ -118,3 +118,33 @@ def test_operator_nonfinite_integrand_names_node():
     with pytest.raises(QuadratureError) as exc:
         op.integrate(lambda s: np.where(s < 0.5, 1.0, np.nan))
     assert exc.value.node is not None and exc.value.node >= 0.5
+
+
+POINT_GRIDS = {
+    **{f"uniform-{n}": np.linspace(0.0, 1.0, n) for n in (11, 201, 301, 1001)},
+    "one-point": np.array([0.3]),
+    "chebyshev-33": (1.0 - np.cos(np.arange(33) * math.pi / 32)) / 2.0,
+}
+
+
+@pytest.mark.parametrize("gamma", [0.0, -4.0, 3.0, -1e4], ids=lambda g: f"{g:g}")
+def test_operator_points_gather_to_the_nodes(gamma):
+    kernel = GreenKernel(ProblemParams(gamma, 0.5))
+    for name, grid in POINT_GRIDS.items():
+        op = KernelOperator(kernel, grid)
+        assert op.points[op.index].tobytes() == op.nodes.tobytes(), name
+        # the 24 shared panels of 8 nodes, and at most two half panels per row
+        assert len(op.points) <= 8 * 24 + 16 * len(grid), name
+
+
+def test_operator_integrate_calls_sigma_once_per_point():
+    op = KernelOperator(GreenKernel(ProblemParams(-4.0, 1.0)), np.linspace(0.0, 1.0, 21))
+    calls = []
+
+    def scalar_only(s):
+        calls.append(float(s))  # float() of an array raises TypeError
+        return 1.0 + s * s
+
+    got = op.integrate(scalar_only)
+    assert len(calls) == len(op.points)
+    assert got.tobytes() == op.integrate(lambda s: 1.0 + s * s).tobytes()
