@@ -13,9 +13,15 @@ min max pow (two).  Evaluation is IEEE double over numpy arrays; domain
 violations (log of a nonpositive value, sqrt of a negative, a negative base
 under a fractional power, division blowing up) raise ExprDomainError with
 the offset of the offending sub-expression instead of propagating NaN.
+
+Expression compiles its syntax tree once into closures that make the numpy
+calls and checks of a tree walk, in its order.  A power drops the checks its
+literal exponent rules out: an integer >= 0 needs no check, a negative
+integer only the zero-base one, a non-integer >= 0 only the negative-base one.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -196,6 +202,10 @@ _UNARY_FNS = {
     "sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh,
     "exp": np.exp, "abs": np.abs,
 }
+_PLAIN_FNS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "min": np.minimum, "max": np.maximum}
+_PARTIAL_FNS = {"log": (np.log, np.less_equal, "log of a non-positive value"),
+                "sqrt": (np.sqrt, np.less, "sqrt of a negative value")}
 
 
 def _check_finite(vals, pos, what):
@@ -204,60 +214,68 @@ def _check_finite(vals, pos, what):
     return vals
 
 
-def _eval_node(node, t, u):
+def _compile(node):
+    """The node as one function of (t, u), built once per expression."""
     if isinstance(node, Num):
-        return node.value
+        return lambda t, u: node.value
+    if isinstance(node, Var) and node.name == "t":
+        return lambda t, u: t
     if isinstance(node, Var):
-        if node.name == "t":
-            return t
-        if u is None:
-            raise ExprDomainError("expression uses 'u' but no u value was supplied", node.pos)
-        return u
+        def var_u(t, u):
+            if u is None:
+                raise ExprDomainError("expression uses 'u' but no u value was supplied", node.pos)
+            return u
+        return var_u
     if isinstance(node, Unary):
-        return -_eval_node(node.operand, t, u)
-    if isinstance(node, BinOp):
-        a = _eval_node(node.left, t, u)
-        b = _eval_node(node.right, t, u)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
+        fa = _compile(node.operand)
+        return lambda t, u: -fa(t, u)
+    name, args = (node.op, (node.left, node.right)) if isinstance(node, BinOp) else (
+        node.name, node.args)
+    fs, pos = [_compile(a) for a in args], node.pos
+    fa, fb = fs[0], fs[-1]
+    if name in _PLAIN_FNS:
+        fn = _PLAIN_FNS[name]
+        return lambda t, u: fn(fa(t, u), fb(t, u))
+    if name in ("^", "pow"):
+        checks = _pow_checks(args[1])
+        return lambda t, u: _eval_pow(fa(t, u), fb(t, u), pos, *checks)
+    if name == "/":
+        def divide(t, u):
+            a, b = fa(t, u), fb(t, u)
             with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.divide(a, b)
-            return _check_finite(out, node.pos, "division")
-        return _eval_pow(a, b, node.pos)
-    if isinstance(node, Call):
-        args = [_eval_node(arg, t, u) for arg in node.args]
-        name = node.name
-        if name in _UNARY_FNS:
-            with np.errstate(over="ignore"):
-                return _check_finite(_UNARY_FNS[name](args[0]), node.pos, name)
-        if name == "log":
-            if np.any(np.asarray(args[0]) <= 0.0):
-                raise ExprDomainError("log of a non-positive value", node.pos)
-            return np.log(args[0])
-        if name == "sqrt":
-            if np.any(np.asarray(args[0]) < 0.0):
-                raise ExprDomainError("sqrt of a negative value", node.pos)
-            return np.sqrt(args[0])
-        if name == "min":
-            return np.minimum(args[0], args[1])
-        if name == "max":
-            return np.maximum(args[0], args[1])
-        return _eval_pow(args[0], args[1], node.pos)
-    raise TypeError(f"unknown node {node!r}")
+                return _check_finite(np.divide(a, b), pos, "division")
+        return divide
+    if name in _PARTIAL_FNS:
+        fn, outside, message = _PARTIAL_FNS[name]
+        def partial(t, u):
+            a = fa(t, u)
+            if np.any(outside(a, 0.0)):
+                raise ExprDomainError(message, pos)
+            return fn(a)
+        return partial
+    fn = _UNARY_FNS[name]
+    def unary_fn(t, u):
+        a = fa(t, u)
+        with np.errstate(over="ignore"):
+            return _check_finite(fn(a), pos, name)
+    return unary_fn
 
 
-def _eval_pow(base, expo, pos):
+def _pow_checks(expo) -> tuple[bool, bool]:
+    """Whether a power needs its negative-base and zero-base checks."""
+    sign = 1.0
+    while isinstance(expo, Unary):
+        expo, sign = expo.operand, -sign
+    e = sign * expo.value if isinstance(expo, Num) else np.nan  # nan: not a literal
+    return not e == np.round(e), not e >= 0.0
+
+
+def _eval_pow(base, expo, pos, negative_check, zero_check):
     b = np.asarray(base, dtype=float)
     e = np.asarray(expo, dtype=float)
-    frac = e != np.round(e)
-    if np.any((b < 0.0) & frac):
+    if negative_check and np.any((b < 0.0) & (e != np.round(e))):
         raise ExprDomainError("negative base under a non-integer power", pos)
-    if np.any((b == 0.0) & (e < 0.0)):
+    if zero_check and np.any((b == 0.0) & (e < 0.0)):
         raise ExprDomainError("zero base under a negative power", pos)
     with np.errstate(over="ignore", divide="ignore"):
         out = np.power(b, e)
@@ -320,10 +338,11 @@ class Expression:
     def __init__(self, ast, source: str):
         self.ast = ast
         self.source = source
+        self._fn = _compile(ast)
 
     def eval(self, t, u=None):
         """Evaluate at scalars or arrays; raises ExprDomainError on violations."""
-        out = _eval_node(self.ast, t, u)
+        out = self._fn(t, u)
         if np.isscalar(t) and (u is None or np.isscalar(u)):
             return float(out)
         shapes = [np.asarray(t).shape]

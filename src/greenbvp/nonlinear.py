@@ -139,7 +139,7 @@ def reflect_problem(problem: NonlinearProblem) -> NonlinearProblem:
 
 def _apply(op: KernelOperator, nl: _Nonlinearity, u_vec: np.ndarray) -> np.ndarray:
     """T on grid values: the row sums of f(s, u(s)), u the spline through u_vec."""
-    return op.row_sums(nl.eval(op.points, op.sample(u_vec))[op.index])
+    return op.apply(nl.eval(op.points, op.sample(u_vec)))
 
 
 def apply_T(problem: NonlinearProblem, u: SolutionProfile, grid_n: int | None = None,
@@ -369,7 +369,7 @@ def _integral_newton(op: KernelOperator, nl: _Nonlinearity, u0, tol, max_iter=15
 
     def T(vec):  # T vec, and the point sample of vec that the Jacobian reuses
         at = op.sample(vec)
-        return op.row_sums(nl.eval(op.points, at)[op.index]), at
+        return op.apply(nl.eval(op.points, at)), at
 
     try:
         Tu, u_at = T(u)

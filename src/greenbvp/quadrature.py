@@ -11,7 +11,10 @@ the same for every row apart from the cut at s = t.
 One KernelOperator holds these rows for a whole grid.  It serves the
 linear solve, the fixed-point operator T of the nonlinear solver and the
 Jacobian of its Newton iteration.  As the rows share their layout, it
-evaluates integrands once per distinct node and gathers them to the rows.
+evaluates integrands once per distinct node and sums them into the rows
+with one sparse matrix W: T u = W f(points, P u), a product-Nystrom form
+(Atkinson, The Numerical Solution of Integral Equations of the Second
+Kind, 1997, ch. 4).
 """
 from __future__ import annotations
 
@@ -153,9 +156,14 @@ class KernelOperator:
     points holds the layout's nodes, then each cut row's two half panels,
     and points[index] == nodes byte for byte, since a panel that a row does
     not cut has the same edges, and so the same nodes, in every row.
+
+    W, the CSR matrix of gw at (rows, index), shares both arrays and keeps
+    each row's columns in node order, repeats unmerged: W @ v then adds the
+    terms gw_k v[index_k] in node order, byte for byte as np.bincount does.
     """
 
     def __init__(self, kernel, grid, rule: QuadratureRule | None = None):
+        from scipy.sparse import csr_array
         rule = rule or QuadratureRule()
         self.grid = np.asarray(grid, dtype=float)
         nodes, weights = zip(*[rule.row_nodes_weights(float(t)) for t in self.grid])
@@ -179,22 +187,24 @@ class KernelOperator:
         shifts = np.c_[-start, n0 + 2 * k * (np.cumsum(cut) - 1) - lo - start, -k - start]
         self.index = np.repeat(shifts.ravel(), runs.ravel())
         self.index += np.arange(len(self.index))
+        self.W = csr_array((self.gw, self.index, np.r_[0, np.cumsum(lengths)]),
+                           shape=(len(self.grid), len(self.points)))
 
-    def row_sums(self, values: np.ndarray) -> np.ndarray:
-        """sum_k gw_k values_k over each row: the row integrals of node values."""
-        return np.bincount(self.rows, weights=self.gw * values, minlength=len(self.grid))
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """W @ values: the row integrals of values given at the points."""
+        return self.W @ values
 
     def integrate(self, sigma) -> np.ndarray:
         """int_0^1 G(t_i, s) sigma(s) ds for every t_i; sigma may be scalar-only.
 
         A non-finite integrand raises QuadratureError naming the node.
         """
-        sig = eval_on(sigma, self.points)[self.index]
-        finite = np.isfinite(self.gw * sig)
+        sig = eval_on(sigma, self.points)
+        finite = np.isfinite(self.gw * sig[self.index])
         if not np.all(finite):
             bad = self.nodes[~finite][0]
             raise QuadratureError(f"kernel row integrand non-finite at s={bad!r}", node=bad)
-        return self.row_sums(sig)
+        return self.apply(sig)
 
     def sample(self, values: np.ndarray) -> np.ndarray:
         """The cubic spline through (grid, values) at the points, clipped at zero."""

@@ -106,10 +106,11 @@ def test_import_cli_leaves_out_scipy_interpolate():
     src = os.path.dirname(os.path.dirname(greenbvp.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, greenbvp.cli; "
-            "print('scipy.interpolate' in sys.modules, 'scipy.linalg' in sys.modules)")
+            "print('scipy.interpolate' in sys.modules, 'scipy.linalg' in sys.modules, "
+            "'scipy.sparse' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"
 
 
 def test_delta_rows(capsys):

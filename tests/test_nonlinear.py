@@ -235,13 +235,14 @@ def test_integral_newton_returns_to_fixed_point(gamma, f_src):
 @pytest.mark.parametrize("gamma, f_src", [(0.0, "t*u^3 + exp(t*u) - 1"), (0.0, "sqrt(u)"),
                                           (-4.0, "u^2")])
 def test_apply_evaluates_f_once_per_point(gamma, f_src):
-    # f and the spline are evaluated on the distinct points and gathered to
-    # the row nodes; the result is the flat per-node formula, byte for byte
+    # f and the spline are evaluated on the distinct points and W sums them
+    # into the rows; the result is the flat per-node formula, byte for byte
     from scipy.interpolate import CubicSpline
 
     prob = NonlinearProblem(ProblemParams(gamma, 1.0), parse(f_src))
     grid = np.linspace(0.0, 1.0, 201)
     op = KernelOperator(GreenKernel(prob.params), grid)
     u = 2.0 * grid * (1.0 - 0.5 * grid) + 0.1 * np.sin(7.0 * grid)
-    flat = op.row_sums(prob._nl.eval(op.nodes, np.maximum(CubicSpline(grid, u)(op.nodes), 0)))
+    fvals = prob._nl.eval(op.nodes, np.maximum(CubicSpline(grid, u)(op.nodes), 0))
+    flat = np.bincount(op.rows, weights=op.gw * fvals, minlength=len(grid))
     assert _apply(op, prob._nl, u).tobytes() == flat.tobytes()

@@ -137,6 +137,22 @@ def test_operator_points_gather_to_the_nodes(gamma):
         assert len(op.points) <= 8 * 24 + 16 * len(grid), name
 
 
+@pytest.mark.parametrize("gamma", [0.0, -4.0, 3.0, -1e4], ids=lambda g: f"{g:g}")
+def test_operator_apply_is_the_node_order_row_sum(gamma):
+    # W keeps each row's columns in node order, so its product adds the
+    # terms in the order that bincount does, byte for byte
+    kernel = GreenKernel(ProblemParams(gamma, 0.5))
+    rng = np.random.default_rng(23)
+    for name, grid in POINT_GRIDS.items():
+        op = KernelOperator(kernel, grid)
+        assert op.W.shape == (len(grid), len(op.points)), name
+        assert op.W.nnz == len(op.nodes), name
+        assert np.shares_memory(op.W.data, op.gw), name
+        v = rng.standard_normal(len(op.points))
+        want = np.bincount(op.rows, weights=op.gw * v[op.index], minlength=len(grid))
+        assert op.apply(v).tobytes() == want.tobytes(), name
+
+
 def test_operator_integrate_calls_sigma_once_per_point():
     op = KernelOperator(GreenKernel(ProblemParams(-4.0, 1.0)), np.linspace(0.0, 1.0, 21))
     calls = []
