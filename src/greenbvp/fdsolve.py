@@ -160,8 +160,10 @@ def solve_fd_newton(params: ProblemParams, f, n: int, u0: SolutionProfile | np.n
 
     f is a plain callable f(t, u) operating on arrays; its u-derivative is
     estimated by central differences.  u0 seeds the iteration (zero profile
-    when omitted).  Steps are backtracked by halving while they fail to
-    reduce the residual; convergence is `max|F| < tol`.
+    when omitted).  Steps are backtracked by halving, at most 12 times,
+    while they fail to reduce the residual; a run that needs more is
+    crawling toward a nonzero minimum of max|F| and stops as stalled.
+    Convergence is `max|F| < tol`.
     """
     if n < 10:
         raise InputError(f"need at least 10 interior points, got {n}")
@@ -235,7 +237,7 @@ def solve_fd_newton(params: ProblemParams, f, n: int, u0: SolutionProfile | np.n
 
         alpha = damping
         accepted = False
-        for _ in range(30):
+        for _ in range(12):
             trial = u + alpha * step_vec
             Ft = residual(trial)
             if rnorm(Ft) < cur:

@@ -10,7 +10,8 @@ quadrature-accurate operator (Anderson again, then a Newton iteration on
 the discretized integral equation when the fixed point is Picard-unstable).
 Where f(t, 0) vanishes, u = 0 is rejected by a minimum-norm threshold, and
 because the superlinear basins are narrow the amplitude ladder is refined
-by log-bisection wherever neighbouring starts land on different outcomes.
+by log-bisection: as soon as a start lands on a different outcome from the
+start before it, that bracket is bisected before the next start is tried.
 
 f is clamped to f(t, max(u, 0)) and iterates are clipped at zero, matching
 the condition that f lives on [0,1] x [0,inf).
@@ -278,7 +279,12 @@ def cone_membership(profile: SolutionProfile, params: ProblemParams,
 
 @dataclass
 class SolveConfig:
-    """Knobs for solve_positive; defaults fit the acceptance problems."""
+    """Knobs for solve_positive; defaults fit the acceptance problems.
+
+    bisect_depth bounds the log-bisection of each bracket of neighbouring
+    init_amplitudes whose fd Newton outcomes differ; a bracket is bisected
+    as soon as its second start has been tried.
+    """
 
     tol: float = 1e-8
     max_iter: int = 500
@@ -557,26 +563,26 @@ def solve_positive(problem: NonlinearProblem, config: SolveConfig | None = None)
             return polish(vec)
         return None
 
-    for c in amplitudes:
+    # each rung's bracket with the rung before is bisected, breadth first,
+    # as soon as it appears, so that the first solution found ends the search
+    for i, c in enumerate(amplitudes):
         out = try_amplitude(c)
         if out is not None:
             return out
-    frontier = list(zip(amplitudes[:-1], amplitudes[1:]))
-    for _ in range(cfg.bisect_depth):
-        next_frontier = []
-        for lo, hi in frontier:
-            if outcomes.get(lo) == outcomes.get(hi):
-                continue
-            mid = math.sqrt(lo * hi)
-            if mid in outcomes:
-                continue
-            out = try_amplitude(mid)
-            if out is not None:
-                return out
-            next_frontier.extend([(lo, mid), (mid, hi)])
-        if not next_frontier:
-            break
-        frontier = next_frontier
+        frontier = [(amplitudes[i - 1], c)] if i else []
+        for _ in range(cfg.bisect_depth):
+            next_frontier = []
+            for lo, hi in frontier:
+                if outcomes.get(lo) == outcomes.get(hi):
+                    continue
+                mid = math.sqrt(lo * hi)
+                if mid in outcomes:
+                    continue
+                out = try_amplitude(mid)
+                if out is not None:
+                    return out
+                next_frontier.extend([(lo, mid), (mid, hi)])
+            frontier = next_frontier
 
     raise SearchFailureError(
         f"no nontrivial positive fixed point found (best residual {best_residual:.3e})",

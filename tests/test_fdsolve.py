@@ -164,3 +164,20 @@ def test_singular_block_raises_resonance_error():
     system.lower[5] = system.diag[5] = system.upper[5] = 0.0
     with pytest.raises(ResonanceError, match="singular tridiagonal block"):
         system.solve()
+
+
+def test_newton_gives_up_a_crawl():
+    # from 10*t the superlinear criterion-7 problem crawls toward a nonzero
+    # minimum of max|F|: each step needs more halvings than the last, so the
+    # run must stop at the 12-halving bound instead of creeping on
+    calls = []
+
+    def f(t, u):
+        calls.append(1)
+        u = np.maximum(u, 0.0)
+        return t * u**3 + np.exp(t * u) - 1.0
+
+    grid = np.linspace(0.0, 1.0, 202)
+    with pytest.raises(SearchFailureError, match="stalled"):
+        solve_fd_newton(ProblemParams(0.0, 1.0), f, 200, 10.0 * grid, tol=1e-9, damping=0.5)
+    assert len(calls) <= 200

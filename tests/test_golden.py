@@ -1,15 +1,17 @@
 """Golden solve outputs: `greenbvp solve` must reproduce tests/golden/.
 
 Each case directory holds a problem.cfg and the solution.csv and
-report.json that the solver wrote for it (tests/golden/regenerate.py
+report.json that the solver wrote for it, or, for a refusal, a
+refusal.json with its exit code and stderr (tests/golden/regenerate.py
 rewrites them).  With the numpy and scipy versions recorded in
 versions.json installed, the files must match byte for byte; with other
 versions, text and structure must match exactly and every number to 1e-12
-relative.
+relative.  A refusal's exit code and stderr must match exactly.
 """
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -18,8 +20,12 @@ import scipy
 from greenbvp import cli
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-CASES = sorted(d for d in os.listdir(GOLDEN)
-               if os.path.isfile(os.path.join(GOLDEN, d, "problem.cfg")))
+sys.path.insert(0, GOLDEN)
+from regenerate import case_dirs, run_case  # noqa: E402
+
+CASES = [d for d in case_dirs()
+         if not os.path.isfile(os.path.join(GOLDEN, d, "refusal.json"))]
+REFUSALS = [d for d in case_dirs() if d not in CASES]
 REL = 1e-12
 
 
@@ -53,7 +59,12 @@ def _csv_close(got: str, want: str, where: str):
 
 
 def test_golden_cases_exist():
-    assert len(CASES) >= 6
+    assert len(CASES) >= 7
+    with_code = {}
+    for case in REFUSALS:
+        with open(os.path.join(GOLDEN, case, "refusal.json")) as fh:
+            with_code[json.load(fh)["exit_code"]] = case
+    assert sorted(with_code) == [cli.USAGE_EXIT, cli.REFUSAL_EXIT, cli.SOLVER_EXIT]
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -73,3 +84,11 @@ def test_solve_matches_golden(case, tmp_path):
             _csv_close(got, want, where)
         else:
             _close(json.loads(got), json.loads(want), where)
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_matches_golden(case, tmp_path):
+    with open(os.path.join(GOLDEN, case, "refusal.json")) as fh:
+        want = json.load(fh)
+    assert run_case(os.path.join(GOLDEN, case), str(tmp_path)) == (
+        want["exit_code"], want["stderr"])

@@ -1,9 +1,12 @@
 """Fixed-point operator, growth classification, cones, the solver."""
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from greenbvp import fdsolve, nonlinear
 from greenbvp.errors import ExprDomainError, SearchFailureError
 from greenbvp.expr import parse
 from greenbvp.fdsolve import solve_fd_newton
@@ -246,3 +249,88 @@ def test_apply_evaluates_f_once_per_point(gamma, f_src):
     fvals = prob._nl.eval(op.nodes, np.maximum(CubicSpline(grid, u)(op.nodes), 0))
     flat = np.bincount(op.rows, weights=op.gw * fvals, minlength=len(grid))
     assert _apply(op, prob._nl, u).tobytes() == flat.tobytes()
+
+
+C7 = "t*u^3 + exp(t*u) - 1"
+
+
+def _record_fd_seeds(monkeypatch, solve):
+    """Route fdsolve.solve_fd_newton through solve, recording each seed's amplitude."""
+    seeds = []
+
+    def recorder(params, f, n, u0, **kw):
+        seeds.append(float(u0[-1]))  # a start c*t keeps c at t = 1
+        return solve(params, f, n, u0, **kw)
+
+    monkeypatch.setattr(fdsolve, "solve_fd_newton", recorder)
+    return seeds
+
+
+def _all_rungs_then_breadth_first(amplitudes, depth, outcome):
+    """The amplitudes the search tried before brackets were bisected as they appear."""
+    outcomes = {c: outcome(c) for c in amplitudes}
+    frontier = list(zip(amplitudes[:-1], amplitudes[1:]))
+    for _ in range(depth):
+        next_frontier = []
+        for lo, hi in frontier:
+            if outcomes.get(lo) == outcomes.get(hi):
+                continue
+            mid = math.sqrt(lo * hi)
+            if mid in outcomes:
+                continue
+            outcomes[mid] = outcome(mid)
+            next_frontier.extend([(lo, mid), (mid, hi)])
+        if not next_frontier:
+            break
+        frontier = next_frontier
+    return set(outcomes)
+
+
+def test_search_bisects_each_bracket_as_soon_as_it_appears(monkeypatch):
+    seeds = _record_fd_seeds(monkeypatch, solve_fd_newton)
+    res = solve_positive(NonlinearProblem(P01, parse(C7)), SolveConfig(grid_n=201))
+    assert res.passed
+    # the rung at 10 fails, (1, 10) is bisected at once, and the rung at 100
+    # is never tried
+    assert seeds == [1e-3, 1e-2, 0.1, 1.0, 10.0, math.sqrt(10.0)]
+
+
+def test_failing_search_tries_the_same_amplitudes(monkeypatch):
+    def fake(params, f, n, u0, **kw):
+        if u0[-1] > 2.0:
+            raise SearchFailureError("fake failure")
+        return SolutionProfile(np.linspace(0.0, 1.0, n + 2), np.zeros(n + 2))
+
+    seeds = _record_fd_seeds(monkeypatch, fake)
+    cfg = SolveConfig(grid_n=201)
+    with pytest.raises(SearchFailureError):
+        solve_positive(NonlinearProblem(P01, parse(C7)), cfg)
+    want = _all_rungs_then_breadth_first(list(cfg.init_amplitudes), cfg.bisect_depth,
+                                         lambda c: "fail" if c > 2.0 else "trivial")
+    assert len(seeds) == len(want) and set(seeds) == want
+
+
+def test_solve_frees_its_operator_without_the_cycle_collector(monkeypatch):
+    refs = []
+
+    def recording(*args, **kwargs):
+        op = KernelOperator(*args, **kwargs)
+        refs.append(weakref.ref(op))
+        return op
+
+    monkeypatch.setattr(nonlinear, "KernelOperator", recording)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for f_src in (C7, "sqrt(u)"):
+            solve_positive(NonlinearProblem(P01, parse(f_src)), SolveConfig(grid_n=201))
+            assert refs[-1]() is None, f_src
+        try:
+            solve_positive(NonlinearProblem(P01, parse("0")), SolveConfig(grid_n=201))
+        except SearchFailureError:
+            pass
+        assert refs[-1]() is None
+        assert len(refs) == 3
+    finally:
+        if was_enabled:
+            gc.enable()
